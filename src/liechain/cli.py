@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .chains import Chain, max_chain, min_chain, parse_chain_text, verify_chain
 from .errors import IncompleteDatabaseError, LieChainError
@@ -111,10 +112,35 @@ def _cmd_verify_chain(args) -> int:
     return 0 if report.ok else 1
 
 
+def _max_dim(args) -> int:
+    """The enumeration bound: ``--max-degree``, else LIECHAIN_MAX_DEGREE, else
+    the default.  Raises ValueError, with a one-line message, unless it is an
+    integer of at least 1 (a bound below that would scan nothing)."""
+    if args.max_degree is not None:
+        bound, source = args.max_degree, "--max-degree"
+    else:
+        text = os.environ.get("LIECHAIN_MAX_DEGREE")
+        if text is None:
+            return DEFAULT_MAX_DIM
+        source = "LIECHAIN_MAX_DEGREE"
+        try:
+            bound = int(text)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {text!r}") from None
+    if bound < 1:
+        raise ValueError(f"{source} must be at least 1, got {bound}")
+    return bound
+
+
 def _cmd_check_theorems(args) -> int:
     names = [args.suite] if args.suite else sorted(SUITES)
     try:
-        results = run_suites(names, max_dim=args.max_degree)
+        max_dim = _max_dim(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        results = run_suites(names, max_dim=max_dim)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -202,9 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-degree",
         type=int,
-        default=int(os.environ.get("LIECHAIN_MAX_DEGREE", DEFAULT_MAX_DIM)),
-        help="bound for the enumerations (total dimension; default 60, "
-             "or LIECHAIN_MAX_DEGREE)",
+        help="bound for the enumerations (total dimension, at least 1; "
+             f"default LIECHAIN_MAX_DEGREE, else {DEFAULT_MAX_DIM})",
     )
     p.set_defaults(fn=_cmd_check_theorems)
 
@@ -213,12 +238,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare formulas and brute force over the curated scope")
     p.add_argument("group", nargs="?", help="group spec")
     p.set_defaults(fn=_cmd_oracle)
+
+    # --json is also accepted after the subcommand; SUPPRESS keeps a
+    # subcommand that omits it from resetting the value given before it
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                       help="emit JSON output")
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    building it costs about as much as answering a small query."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except IncompleteDatabaseError as exc:

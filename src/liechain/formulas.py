@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import MalformedTypeError
@@ -242,29 +243,53 @@ def sqrt_lower_bound(g: GroupType) -> QuadExpr:
     return BETA * (QuadExpr.sqrt(g.dim) - ALPHA)
 
 
+# The radical checks below depend only on a few integers of the group, and a
+# sweep over many groups meets each combination many times; each verdict is
+# decided once per distinct input.  Bounded so a long-lived process stays small.
+_VERDICT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _sqrt_verdict(total: int, dim: int, xi_is_alpha: bool) -> tuple[str, bool]:
+    """beta*(sqrt(dim) - xi) rendered to 4 places, with xi = alpha or 1, and
+    whether ``total`` reaches it."""
+    bound = BETA * (QuadExpr.sqrt(dim) - (ALPHA if xi_is_alpha else 1))
+    return bound.decimal(4), QuadExpr.rational(total) >= bound
+
+
+@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _quad_cd_verdict(cd_low: int, dim_ss: int) -> tuple[str, bool]:
+    """(beta^-1*(2cd+2) + alpha)^2 rendered to 4 places, and whether
+    ``dim_ss`` stays within it."""
+    root = BETA_INV * (2 * cd_low + 2) + ALPHA
+    quad = root * root
+    return quad.decimal(4), QuadExpr.rational(dim_ss) <= quad
+
+
 def check_sqrt_lower_bound(g: GroupType) -> list[Check]:
     total = length(g)
-    bound = sqrt_lower_bound(g)
+    rendered, ok = _sqrt_verdict(total, g.dim, True)
     out = [
         Check(
             "length above the square-root dimension bound",
             {"group": str(g), "dim": g.dim},
             f"l = {total}",
-            f"beta*(sqrt(dim)-alpha) = {bound.decimal(4)}",
-            QuadExpr.rational(total) >= bound,
+            f"beta*(sqrt(dim)-alpha) = {rendered}",
+            ok,
         )
     ]
     if g.is_simple:
         s = g.simple_factor
-        xi = ALPHA if s.family in ("E6", "E7", "E8") else QuadExpr.rational(1)
-        simple_bound = BETA * (QuadExpr.sqrt(g.dim) - xi)
+        xi_is_alpha = s.family in ("E6", "E7", "E8")
+        xi = ALPHA if xi_is_alpha else QuadExpr.rational(1)
+        rendered, ok = _sqrt_verdict(total, g.dim, xi_is_alpha)
         out.append(
             Check(
                 "simple length above the family-specific square-root bound",
                 {"group": str(g), "xi": xi.decimal(4)},
                 f"l = {total}",
-                f"beta*(sqrt(dim)-xi) = {simple_bound.decimal(4)}",
-                QuadExpr.rational(total) >= simple_bound,
+                f"beta*(sqrt(dim)-xi) = {rendered}",
+                ok,
             )
         )
     return out
@@ -351,16 +376,15 @@ def check_lcd(g: GroupType, refine: bool = True) -> list[Check]:
             l_ss <= 2 * cd_low + 2,
         )
     ]
-    quad = BETA_INV * (2 * cd_low + 2) + ALPHA
-    quad = quad * quad
     dim_ss = g.semisimple_part.dim
+    rendered, ok = _quad_cd_verdict(cd_low, dim_ss)
     out.append(
         Check(
             "semisimple dimension within the quadratic chain-difference bound",
             {"group": str(g), "cd": str(cd)},
             f"dim G' = {dim_ss}",
-            f"(beta^-1*(2cd+2)+alpha)^2 = {quad.decimal(4)}",
-            QuadExpr.rational(dim_ss) <= quad,
+            f"(beta^-1*(2cd+2)+alpha)^2 = {rendered}",
+            ok,
         )
     )
     counts = g.counts()

@@ -6,6 +6,20 @@ type, and every maximal step strictly decreases dimension, so a plain
 memoized depth-first search terminates.  Reaching any node whose
 maximal-subgroup list is not certified complete aborts the query; the
 oracle never silently degrades into a bound.
+
+The memo is keyed by the semisimple part alone (torus shift).  For z >= 1
+the maximal connected subgroups of H x T^z are the torus drop H x T^(z-1)
+and C x T^z for each maximal entry C of H (a factor step or a diagonal),
+and the completeness flag depends only on the factors of H.  By induction
+on dimension, with l(H) = 1 + max l(C) and depth(H) = 1 + min depth(C):
+
+    l(H x T^z)     = 1 + max(l(H) + z - 1,     max l(C) + z)     = l(H) + z
+    depth(H x T^z) = 1 + min(depth(H) + z - 1, min depth(C) + z) = depth(H) + z
+
+(and T^z alone gives (z, z)).  So the cached path computes H once and adds
+z back, and every ``maximal_connected`` query it makes is on a semisimple
+type.  ``Oracle(cached=False)`` recurses over the full types instead, as
+the independent reference for that argument.
 """
 
 from __future__ import annotations
@@ -20,37 +34,48 @@ from .subgroups import maximal_connected
 
 @dataclass
 class Oracle:
-    """Shared memo table mapping canonical types to (length, depth).
+    """Shared memo table mapping canonical semisimple types to (length, depth).
 
     Lookups and inserts are plain dict operations (atomic under the GIL);
     recomputing a node concurrently is harmless because results are
     deterministic.  With ``cached=False`` every call recomputes from
-    scratch, which is exponentially slower but must agree.
+    scratch over the full type, torus included, which is exponentially
+    slower but must agree.
     """
 
     cached: bool = True
     table: dict[GroupType, tuple[int, int]] = field(default_factory=dict)
 
     def compute(self, g: GroupType) -> tuple[int, int]:
+        if not self.cached:
+            return self._plain(g)
+        z = g.torus_rank
+        h = g.semisimple_part if z else g
+        if h.is_trivial:
+            return (z, z)
+        hit = self.table.get(h)
+        if hit is None:
+            entries, flag = maximal_connected(h)
+            if not flag.complete:
+                raise IncompleteDatabaseError(g)
+            lengths, depths = zip(*[self.compute(entry.subgroup) for entry in entries])
+            hit = self.table[h] = (1 + max(lengths), 1 + min(depths))
+        return (hit[0] + z, hit[1] + z)
+
+    def _plain(self, g: GroupType) -> tuple[int, int]:
+        """The recursion over the full type, torus included, with no memo."""
         if g.is_trivial:
             return (0, 0)
-        if self.cached:
-            hit = self.table.get(g)
-            if hit is not None:
-                return hit
         entries, flag = maximal_connected(g)
         if not flag.complete:
             raise IncompleteDatabaseError(g)
         best_len = 0
         best_depth = None
         for entry in entries:
-            sub_len, sub_depth = self.compute(entry.subgroup)
+            sub_len, sub_depth = self._plain(entry.subgroup)
             best_len = max(best_len, sub_len)
             best_depth = sub_depth if best_depth is None else min(best_depth, sub_depth)
-        result = (1 + best_len, 1 + best_depth)
-        if self.cached:
-            self.table[g] = result
-        return result
+        return (1 + best_len, 1 + best_depth)
 
     def length(self, g: GroupType) -> int:
         return self.compute(g)[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -144,14 +144,31 @@ class QuadExpr:
         return lo, hi
 
     def sign(self) -> int:
+        """Exact sign.  Same decision as comparing ``bounds(prec)`` with 0 at
+        prec = 16, 32, ..., but over the terms scaled to integers by their
+        common denominator and by 2**prec, so no Fraction is built."""
         if not self.terms:
             return 0
         if self.is_rational:
             q = self.terms[0][1]
             return (q > 0) - (q < 0)
+        den = lcm(*(c.denominator for _, c in self.terms))
+        scaled = [(m, c.numerator * (den // c.denominator)) for m, c in self.terms]
         prec = 16
         while prec <= 1 << 20:
-            lo, hi = self.bounds(prec)
+            lo = hi = 0
+            for m, a in scaled:
+                if m == 1:
+                    lo += a << prec
+                    hi += a << prec
+                    continue
+                s = isqrt(m << (2 * prec))
+                if a >= 0:
+                    lo += a * s
+                    hi += a * (s + 1)
+                else:
+                    lo += a * (s + 1)
+                    hi += a * s
             if lo > 0:
                 return 1
             if hi < 0:

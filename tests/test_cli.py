@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liechain
 from liechain.cli import main
 from liechain.groups import parse_group
 
@@ -106,6 +111,41 @@ def test_check_theorems_env_override(capsys, monkeypatch):
     monkeypatch.setenv("LIECHAIN_MAX_DEGREE", "8")
     code, out, _ = run(capsys, "check-theorems", "--suite", "ld")
     assert code == 0 and "'max_dim': 8" not in out  # bound is applied, not echoed raw
+
+
+def test_bad_env_bound_fails_only_check_theorems(capsys, monkeypatch):
+    monkeypatch.setenv("LIECHAIN_MAX_DEGREE", "abc")
+    code, out, _ = run(capsys, "len", "E8")
+    assert code == 0 and out == "20\n"
+    code, out, err = run(capsys, "check-theorems", "--suite", "ld")
+    assert code == 2 and out == ""
+    assert err == "error: LIECHAIN_MAX_DEGREE must be an integer, got 'abc'\n"
+    code, out, _ = run(capsys, "check-theorems", "--suite", "ld", "--max-degree", "8")
+    assert code == 0 and "[PASS]" in out  # the flag wins over the variable
+
+
+@pytest.mark.parametrize("bound", ["-5", "0"])
+def test_check_theorems_bound_below_one_is_usage_error(capsys, bound):
+    code, out, err = run(capsys, "check-theorems", "--max-degree", bound)
+    assert code == 2 and out == ""
+    assert err == f"error: --max-degree must be at least 1, got {bound}\n"
+
+
+@pytest.mark.parametrize("argv", [("len", "E8"), ("maximals", "SO(7)")])
+def test_json_flag_after_subcommand(capsys, argv):
+    code_before, before, _ = run(capsys, "--json", *argv)
+    code_after, after, _ = run(capsys, *argv, "--json")
+    assert code_before == code_after == 0
+    assert after == before
+    json.loads(after)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(liechain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "liechain", "len", "E8"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "20\n" and proc.stderr == ""
 
 
 def test_oracle_commands(capsys):

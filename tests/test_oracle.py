@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from liechain.cli import main
 from liechain.errors import IncompleteDatabaseError
 from liechain.formulas import depth, depth_simple, length
-from liechain.groups import GroupType, SimpleType, parse_group, torus
+from liechain.groups import GroupType, SimpleType, iter_groups, parse_group, torus
 from liechain.oracle import Oracle, cross_validate, oracle_depth, oracle_length
-from liechain.subgroups import CURATED_SIMPLE
+from liechain.subgroups import CURATED_SIMPLE, is_curated, maximal_connected
 
 
 @pytest.mark.parametrize("spec,expected", [
@@ -34,6 +35,11 @@ def test_incomplete_database_error_names_node():
     with pytest.raises(IncompleteDatabaseError) as err:
         oracle_length(parse_group("F4"))
     assert str(err.value.group) in ("F4", str(parse_group("F4")))
+    # with a torus, the error still names the queried type
+    g = parse_group("F4 x T^2")
+    with pytest.raises(IncompleteDatabaseError) as err:
+        Oracle().compute(g)
+    assert err.value.group == g
 
 
 def test_oracle_additive_on_curated_products():
@@ -76,10 +82,41 @@ def test_memoization_soundness():
     bare = Oracle(cached=False)
     for _ in range(100):
         factors = tuple(rng.choice(small) for _ in range(rng.randint(0, 3)))
-        g = GroupType(rng.randint(0, 2), factors)
+        g = GroupType(rng.randint(0, 3), factors)
         if g.is_trivial:
             continue
         assert fresh.compute(g) == bare.compute(g)
+
+
+def test_torus_stripped_memo_matches_full_type_recursion():
+    # reference: the recursion memoized by the full type, torus included
+    table = {}
+
+    def reference(g):
+        if g.is_trivial:
+            return (0, 0)
+        if g not in table:
+            entries, flag = maximal_connected(g)
+            assert flag.complete
+            values = [reference(e.subgroup) for e in entries]
+            table[g] = (1 + max(l for l, _ in values), 1 + min(d for _, d in values))
+        return table[g]
+
+    oracle = Oracle()
+    groups = [g for g in iter_groups(30) if is_curated(g)]
+    assert len(groups) == 720
+    for g in groups:
+        assert oracle.compute(g) == reference(g), g
+    # one memo entry per semisimple type, none per torus rank
+    assert all(h.torus_rank == 0 for h in oracle.table)
+    assert len(oracle.table) < len(table)
+
+
+def test_cli_oracle_large_torus(capsys):
+    # the torus rank is added to the value of the semisimple part; no
+    # recursion runs through the 20000 torus drops
+    assert main(["oracle", "SU(3) x T^20000"]) == 0
+    assert capsys.readouterr().out == "length 20004  depth 20003\n"
 
 
 def test_cross_validate_curated_scope():

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from liechain.formulas import length, smalll_deficit, sqrt_lower_bound
+from liechain.groups import parse_group
 from liechain.radicals import ALPHA, BETA, BETA_INV, QuadExpr
 
 
@@ -77,3 +80,56 @@ def test_sqrt_multiplicative(a, b):
 def test_sign_matches_float(n):
     x = QuadExpr.sqrt(n) - Fraction(10**6, 10**6) * 22  # sqrt(n) - 22
     assert x.sign() == (1 if n > 484 else (-1 if n < 484 else 0))
+
+
+def _bounds_sign(x: QuadExpr) -> int:
+    """Reference: the sign decided by the Fraction interval of ``bounds`` at
+    precisions 16, 32, ..., with the same stopping rule as ``sign``."""
+    if not x.terms:
+        return 0
+    if x.is_rational:
+        q = x.as_fraction()
+        return (q > 0) - (q < 0)
+    prec = 16
+    while prec <= 1 << 20:
+        lo, hi = x.bounds(prec)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec *= 2
+    raise ArithmeticError(f"sign of {x} undecided")
+
+
+_coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=24)
+_radical_sums = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2000), _coefficients), max_size=5,
+).map(lambda parts: sum((QuadExpr.sqrt(m, c) for m, c in parts), QuadExpr()))
+
+
+@given(_radical_sums)
+def test_integer_sign_agrees_with_bounds(x):
+    assert x.sign() == _bounds_sign(x)
+    assert (-x).sign() == -x.sign()
+
+
+@given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=-1, max_value=1))
+def test_integer_sign_near_cancellation(n, digits, offset):
+    # sqrt(n) against a rational approximant good to about 10**-digits, so the
+    # decision needs rising precision
+    scale = 10**digits
+    approx = QuadExpr.rational(Fraction(isqrt(n * scale * scale) + offset, scale))
+    x = QuadExpr.sqrt(n) - approx
+    assert x.sign() == _bounds_sign(x)
+
+
+def test_sign_boundary_cases():
+    e8 = parse_group("E8")
+    residue = QuadExpr.rational(length(e8)) - sqrt_lower_bound(e8)
+    assert residue.sign() == _bounds_sign(residue) == 0
+    assert QuadExpr.rational(20) >= sqrt_lower_bound(e8)
+    assert not QuadExpr.rational(20) > sqrt_lower_bound(e8)
+    for ns, expected in (((7, 7), -1), ((8, 7), 1), ((7, 7, 7), 1)):
+        deficit = smalll_deficit(ns)
+        assert deficit.sign() == _bounds_sign(deficit) == expected, ns
