@@ -28,11 +28,9 @@ from .formulas import (
 )
 from .groups import (
     TRIVIAL,
-    Dims,
     GroupType,
     SimpleType,
     canonicalize,
-    dims,
     iter_groups,
     iter_simple_types,
     parse_group,
@@ -40,7 +38,7 @@ from .groups import (
     simple,
     torus,
 )
-from .oracle import Oracle, cross_validate, oracle_depth, oracle_length
+from .oracle import Oracle, oracle_depth, oracle_length
 from .radicals import ALPHA, BETA, QuadExpr
 from .subgroups import (
     CURATED_SIMPLE,
@@ -53,5 +51,6 @@ from .subgroups import (
     maximal_connected_simple,
     min_irrep_dim,
 )
+from .suites import cross_validate
 
 __version__ = "1.0.0"

@@ -17,14 +17,10 @@ from functools import lru_cache
 from .chains import Chain, max_chain, min_chain, parse_chain_text, verify_chain
 from .errors import IncompleteDatabaseError, LieChainError
 from .formulas import chain_difference, depth, length
-from .groups import GroupType, dims, parse_group, product, torus
-from .oracle import cross_validate, oracle_depth, oracle_length
+from .groups import GroupType, parse_group, product, torus
+from .oracle import oracle_depth, oracle_length
 from .subgroups import CURATED_SIMPLE, maximal_connected, query_json
-from .suites import DEFAULT_MAX_DIM, SUITES, run_suites
-
-
-def _parse(text: str) -> GroupType:
-    return parse_group(text)
+from .suites import DEFAULT_MAX_DIM, SUITES, cross_validate, run_suites
 
 
 def _emit(payload: dict, text: str, as_json: bool) -> None:
@@ -32,36 +28,35 @@ def _emit(payload: dict, text: str, as_json: bool) -> None:
 
 
 def _cmd_len(args) -> int:
-    g = _parse(args.group)
+    g = parse_group(args.group)
     value = length(g)
     _emit({"group": str(g), "length": value}, str(value), args.json)
     return 0
 
 
 def _cmd_depth(args) -> int:
-    g = _parse(args.group)
+    g = parse_group(args.group)
     value = depth(g)
     _emit({"group": str(g), "depth": value.to_json()}, str(value), args.json)
     return 0
 
 
 def _cmd_cd(args) -> int:
-    g = _parse(args.group)
+    g = parse_group(args.group)
     value = chain_difference(g)
     _emit({"group": str(g), "cd": value.to_json()}, str(value), args.json)
     return 0
 
 
 def _cmd_dims(args) -> int:
-    g = _parse(args.group)
-    d = dims(g)
-    _emit({"group": str(g), "dim": d.dim, "rank": d.rank},
-          f"dim {d.dim}  rank {d.rank}", args.json)
+    g = parse_group(args.group)
+    _emit({"group": str(g), "dim": g.dim, "rank": g.rank},
+          f"dim {g.dim}  rank {g.rank}", args.json)
     return 0
 
 
 def _cmd_maximals(args) -> int:
-    g = _parse(args.group)
+    g = parse_group(args.group)
     if args.json:
         print(json.dumps(query_json(g)))
         return 0
@@ -82,7 +77,7 @@ def _print_chain(chain: Chain, as_json: bool) -> None:
 
 
 def _cmd_chain(args) -> int:
-    g = _parse(args.group)
+    g = parse_group(args.group)
     if args.min:
         chain = min_chain(g)
         if chain is None:
@@ -186,7 +181,7 @@ def _cmd_oracle(args) -> int:
     if not args.group:
         print("oracle: need a group or --cross-validate", file=sys.stderr)
         return 2
-    g = _parse(args.group)
+    g = parse_group(args.group)
     l, d = oracle_length(g), oracle_depth(g)
     _emit({"group": str(g), "length": l, "depth": d},
           f"length {l}  depth {d}", args.json)

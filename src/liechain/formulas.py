@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 from .errors import MalformedTypeError
 from .groups import GroupType, SimpleType
+from .oracle import oracle_depth
 from .radicals import ALPHA, BETA, BETA_INV, QuadExpr
 from .subgroups import is_curated
 
@@ -138,8 +139,6 @@ def depth(g: GroupType, refine: bool = False) -> BoundsOrExact:
     lower = z + sum(k + 1 for _, k in counts)
     upper = z + sum(k + depth_simple(s) - 1 for s, k in counts)
     if refine and is_curated(g):
-        from .oracle import oracle_depth
-
         return BoundsOrExact.exact(oracle_depth(g))
     return BoundsOrExact.bounds(lower, upper)
 
@@ -361,10 +360,11 @@ _TWICE_SLACK = {
 }
 
 
-def check_lcd(g: GroupType, refine: bool = True) -> list[Check]:
+def check_lcd(g: GroupType) -> list[Check]:
     """Length of G' against the chain difference: l(G') <= 2 cd(G) + 2, the
-    induced quadratic dimension bound, and the per-factor refinements."""
-    cd = chain_difference(g, refine=refine)
+    induced quadratic dimension bound, and the per-factor refinements.  The
+    chain difference is refined to the brute-force value on the curated set."""
+    cd = chain_difference(g, refine=True)
     cd_low = cd.lower
     l_ss = length(g.semisimple_part)
     out = [

@@ -275,23 +275,6 @@ def canonicalize(family: str, degree: int = 0) -> GroupType:
     return simple(family, degree)
 
 
-# -- dimensions -------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Dims:
-    """Dimension and rank of a group; additive over products."""
-
-    dim: int
-    rank: int
-
-    def __add__(self, other: "Dims") -> "Dims":
-        return Dims(self.dim + other.dim, self.rank + other.rank)
-
-
-def dims(g: GroupType) -> Dims:
-    return Dims(g.dim, g.rank)
-
-
 # -- parsing ----------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*([A-Za-z]+[0-9]*|[0-9]+|[()^])")
@@ -436,8 +419,8 @@ def iter_simple_types(max_dim: int | None = None,
             yield s
 
 
-def iter_groups(max_dim: int, include_trivial: bool = False) -> Iterator[GroupType]:
-    """All canonical groups with total dim <= max_dim, tori included.
+def iter_groups(max_dim: int) -> Iterator[GroupType]:
+    """All nontrivial canonical groups with total dim <= max_dim, tori included.
 
     Deterministic order: semisimple factor multisets in canonical order, then
     increasing torus rank.
@@ -453,7 +436,5 @@ def iter_groups(max_dim: int, include_trivial: bool = False) -> Iterator[GroupTy
 
     for factors in extend((), max_dim, 0):
         used = sum(s.dim for s in factors)
-        for z in range(0, max_dim - used + 1):
-            if z == 0 and not factors and not include_trivial:
-                continue
+        for z in range(0 if factors else 1, max_dim - used + 1):
             yield GroupType(z, factors)

@@ -3,9 +3,10 @@ maximal-subgroup type graph.
 
 The recursion is over canonical types: both invariants only depend on the
 type, and every maximal step strictly decreases dimension, so a plain
-memoized depth-first search terminates.  Reaching any node whose
-maximal-subgroup list is not certified complete aborts the query; the
-oracle never silently degrades into a bound.
+memoized depth-first search terminates.  The search keeps its own stack,
+so chains of any length stay clear of the interpreter's recursion limit.
+Reaching any node whose maximal-subgroup list is not certified complete
+aborts the query; the oracle never silently degrades into a bound.
 
 The memo is keyed by the semisimple part alone (torus shift).  For z >= 1
 the maximal connected subgroups of H x T^z are the torus drop H x T^(z-1)
@@ -19,12 +20,12 @@ on dimension, with l(H) = 1 + max l(C) and depth(H) = 1 + min depth(C):
 (and T^z alone gives (z, z)).  So the cached path computes H once and adds
 z back, and every ``maximal_connected`` query it makes is on a semisimple
 type.  ``Oracle(cached=False)`` recurses over the full types instead, as
-the independent reference for that argument.
+the independent reference for that argument; it walks every chain, so it
+only serves small groups, and its recursion depth is at most l(G).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .errors import IncompleteDatabaseError
@@ -49,18 +50,48 @@ class Oracle:
     def compute(self, g: GroupType) -> tuple[int, int]:
         if not self.cached:
             return self._plain(g)
-        z = g.torus_rank
-        h = g.semisimple_part if z else g
+        h, z = _split(g)
         if h.is_trivial:
             return (z, z)
         hit = self.table.get(h)
         if hit is None:
+            self._fill(g)
+            hit = self.table[h]
+        return (hit[0] + z, hit[1] + z)
+
+    def _fill(self, g: GroupType) -> None:
+        """Memoize the semisimple part of ``g`` and every node below it.
+
+        Depth first in entry order, as the recursion would go, but on an
+        explicit stack, so no chain length can exhaust the interpreter's
+        recursion limit.  A node is raised as incomplete under the full
+        type, torus included, by which the walk first reached it.
+        """
+        table = self.table
+
+        def frame(node: GroupType):
+            h, _ = _split(node)
             entries, flag = maximal_connected(h)
             if not flag.complete:
-                raise IncompleteDatabaseError(g)
-            lengths, depths = zip(*[self.compute(entry.subgroup) for entry in entries])
-            hit = self.table[h] = (1 + max(lengths), 1 + min(depths))
-        return (hit[0] + z, hit[1] + z)
+                raise IncompleteDatabaseError(node)
+            children = [(entry.subgroup, *_split(entry.subgroup)) for entry in entries]
+            return h, children, iter(children)
+
+        stack = [frame(g)]
+        while stack:
+            h, children, todo = stack[-1]
+            for child, k, _ in todo:
+                if not k.is_trivial and k not in table:
+                    stack.append(frame(child))
+                    break
+            else:
+                stack.pop()
+                lengths, depths = [], []
+                for _, k, z in children:
+                    l, d = (0, 0) if k.is_trivial else table[k]
+                    lengths.append(l + z)
+                    depths.append(d + z)
+                table[h] = (1 + max(lengths), 1 + min(depths))
 
     def _plain(self, g: GroupType) -> tuple[int, int]:
         """The recursion over the full type, torus included, with no memo."""
@@ -84,6 +115,12 @@ class Oracle:
         return self.compute(g)[1]
 
 
+def _split(g: GroupType) -> tuple[GroupType, int]:
+    """The semisimple part of ``g`` and its torus rank."""
+    z = g.torus_rank
+    return (g.semisimple_part if z else g), z
+
+
 _default = Oracle()
 
 
@@ -95,37 +132,3 @@ def oracle_length(g: GroupType) -> int:
 def oracle_depth(g: GroupType) -> int:
     """1 + min over maximal connected subgroups, from the shared table."""
     return _default.depth(g)
-
-
-def cross_validate(scope) -> list[dict]:
-    """Compare the closed forms against the brute force on each group in
-    ``scope``; returns one record per group, with ``pass`` set when the
-    lengths agree and the brute-force depth is consistent with (equal to,
-    when exact) the formula depth."""
-    from .formulas import depth, length
-
-    records = []
-    for g in scope:
-        formula_l = length(g)
-        formula_d = depth(g)
-        brute_l, brute_d = _default.compute(g)
-        ok = brute_l == formula_l and brute_d in formula_d
-        if formula_d.is_exact:
-            ok = ok and brute_d == formula_d.exact_value
-        records.append({
-            "group": str(g),
-            "formula_l": formula_l,
-            "oracle_l": brute_l,
-            "formula_depth": formula_d.to_json(),
-            "oracle_depth": brute_d,
-            "pass": ok,
-        })
-    return records
-
-
-def _raise_recursion_limit(limit: int = 10000) -> None:
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-
-
-_raise_recursion_limit()

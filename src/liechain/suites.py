@@ -2,11 +2,13 @@
 
 Each suite exhaustively checks one classification or inequality over a
 bounded search space (total dimension for group enumerations, degree for
-per-family scans) and returns a list of Check records.
+per-family scans) and returns a list of Check records.  ``cross_validate``
+compares the closed forms with the brute force group by group.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -29,7 +31,7 @@ from .formulas import (
     smalll_deficit,
 )
 from .groups import GroupType, SimpleType, iter_groups, iter_simple_types, simple
-from .oracle import oracle_depth
+from .oracle import oracle_depth, oracle_length
 from .radicals import BETA, QuadExpr
 from .subgroups import CURATED_SIMPLE, is_curated, min_irrep_dim
 
@@ -89,6 +91,27 @@ def _classification(name: str, max_dim: int,
     )]
 
 
+def _verdict(claim: str, inputs: dict, noun: str, bad: list,
+             shown: Optional[int] = 8) -> Check:
+    """The check that ``bad`` is empty: its count against 0, with the first
+    ``shown`` items (all when None) listed under ``noun`` after ``inputs``."""
+    return Check(claim, {**inputs, noun: bad[:shown]}, f"{noun} = {len(bad)}",
+                 "expected 0", not bad)
+
+
+def _sweep(claim: str, max_dim: int,
+           checker: Callable[[GroupType], list[Check]]) -> Check:
+    """Every per-group check of ``checker`` over the enumeration, as one
+    verdict on the failed ones."""
+    scanned = 0
+    failures: list[str] = []
+    for g in iter_groups(max_dim):
+        scanned += 1
+        failures += [f"{g}: {check.claim}" for check in checker(g) if not check.passed]
+    return _verdict(claim, {"max_dim": max_dim, "groups_scanned": scanned},
+                    "failures", failures)
+
+
 # -- individual suites -----------------------------------------------------------
 
 def suite_general(max_dim: int) -> list[Check]:
@@ -118,39 +141,12 @@ def suite_general(max_dim: int) -> list[Check]:
 
 def suite_dimlen(max_dim: int) -> list[Check]:
     """Dimension-deficit bounds for every enumerated group."""
-    scanned = 0
-    failures: list[str] = []
-    for g in iter_groups(max_dim):
-        scanned += 1
-        for check in check_dimlen(g):
-            if not check.passed:
-                failures.append(f"{g}: {check.claim}")
-    return [Check(
-        "dimension deficit bounds over the enumeration",
-        {"max_dim": max_dim, "groups_scanned": scanned, "failures": failures[:8]},
-        f"failures = {len(failures)}",
-        "expected 0",
-        not failures,
-    )]
+    return [_sweep("dimension deficit bounds over the enumeration", max_dim, check_dimlen)]
 
 
 def suite_sqrt(max_dim: int) -> list[Check]:
     """Square-root lower bound for every enumerated group, the sharper
     simple-group variant, and the three elementary inequalities."""
-    scanned = 0
-    failures: list[str] = []
-    for g in iter_groups(max_dim):
-        scanned += 1
-        for check in check_sqrt_lower_bound(g):
-            if not check.passed:
-                failures.append(f"{g}: {check.claim}")
-    out = [Check(
-        "square-root dimension lower bound over the enumeration",
-        {"max_dim": max_dim, "groups_scanned": scanned, "failures": failures[:8]},
-        f"failures = {len(failures)}",
-        "expected 0",
-        not failures,
-    )]
     grid = [Fraction(1), Fraction(3, 2), Fraction(3), Fraction(7), Fraction(25, 2),
             Fraction(78), Fraction(100), Fraction(625, 4)]
     elem_bad = []
@@ -160,14 +156,12 @@ def suite_sqrt(max_dim: int) -> list[Check]:
                                     elem_inequalities(x, y)):
                 if value is False:
                     elem_bad.append(f"({x},{y}) {label}")
-    out.append(Check(
-        "elementary square-root inequalities on a rational grid",
-        {"grid": [str(q) for q in grid], "failures": elem_bad},
-        f"failures = {len(elem_bad)}",
-        "expected 0",
-        not elem_bad,
-    ))
-    return out
+    return [
+        _sweep("square-root dimension lower bound over the enumeration", max_dim,
+               check_sqrt_lower_bound),
+        _verdict("elementary square-root inequalities on a rational grid",
+                 {"grid": [str(q) for q in grid]}, "failures", elem_bad, None),
+    ]
 
 
 def suite_smalll(max_dim: int) -> list[Check]:
@@ -176,92 +170,57 @@ def suite_smalll(max_dim: int) -> list[Check]:
     del max_dim  # fixed range
     negatives: list[tuple[int, ...]] = []
     checked = 0
-
-    def tuples(k: int):
-        def rec(prefix):
-            if len(prefix) == k:
-                yield prefix
-                return
-            for n in range(7, prefix[0] + 1):
-                yield from rec(prefix + (n,))
-        for n1 in range(7, 21):
-            yield from rec((n1,))
-
     for k in (2, 3, 4):
-        for ns in tuples(k):
-            checked += 1
-            if smalll_deficit(ns).sign() < 0:
-                negatives.append(ns)
+        for n1 in range(7, 21):
+            for rest in itertools.product(range(7, n1 + 1), repeat=k - 1):
+                checked += 1
+                if smalll_deficit((n1, *rest)).sign() < 0:
+                    negatives.append((n1, *rest))
     expected = [ns for ns in negatives if not (ns[0] == 7 and len(ns) == 2)]
-    only_excluded = not expected and all(
-        ns[0] == 7 and len(ns) == 2 for ns in negatives) and negatives
     return [Check(
         "product-length deficit nonnegative except exactly at (n_1, k) = (7, 2)",
         {"tuples_checked": checked, "negatives": [list(n) for n in negatives[:8]]},
         f"unexpected negatives = {len(expected)}",
         "expected 0, with (7, 7) negative",
-        bool(only_excluded),
+        bool(negatives) and not expected,
     )]
 
 
-def suite_liedep(max_dim: int, max_degree: int = 60) -> list[Check]:
+def suite_liedep(max_dim: int) -> list[Check]:
     """Simple-group depth table: brute force on the curated types, and the
     complexified-depth offset as stored data everywhere."""
-    out = []
     bad = [str(s) for s in sorted(CURATED_SIMPLE, key=lambda s: s.sort_key)
            if oracle_depth(simple(s.family, s.degree)) != depth_simple(s)]
-    out.append(Check(
-        "brute-force depth matches the simple depth table on curated types",
-        {"curated": len(CURATED_SIMPLE), "mismatches": bad},
-        f"mismatches = {len(bad)}",
-        "expected 0",
-        not bad,
-    ))
-    offset_bad = [str(s) for s in iter_simple_types(max_degree=max_degree)
+    offset_bad = [str(s) for s in iter_simple_types(max_degree=60)
                   if depth_simple(s) != complex_depth_simple(s) - 1
                   or depth_simple(s) not in (2, 3, 4, 5)]
-    out.append(Check(
-        "compact depth is the complexified depth minus one",
-        {"max_degree": max_degree, "mismatches": offset_bad[:8]},
-        f"mismatches = {len(offset_bad)}",
-        "expected 0",
-        not offset_bad,
-    ))
-    return out
+    return [
+        _verdict("brute-force depth matches the simple depth table on curated types",
+                 {"curated": len(CURATED_SIMPLE)}, "mismatches", bad, None),
+        _verdict("compact depth is the complexified depth minus one",
+                 {"max_degree": 60}, "mismatches", offset_bad),
+    ]
 
 
 def suite_depbds(max_dim: int) -> list[Check]:
     """Depth of homogeneous powers, and interval bounds for mixed products,
     against the brute force."""
+    curated = sorted(CURATED_SIMPLE, key=lambda t: t.sort_key)
     homog_bad = []
-    for s in sorted(CURATED_SIMPLE, key=lambda t: t.sort_key):
+    for s in curated:
         for k in range(1, 5):
             for z in (0, 2):
                 g = GroupType(z, (s,) * k)
                 if oracle_depth(g) != z + depth_simple(s) + k - 1:
                     homog_bad.append(str(g))
-    out = [Check(
-        "homogeneous power depth z + depth(S) + k - 1",
-        {"powers": "k <= 4, z in {0, 2}", "mismatches": homog_bad[:8]},
-        f"mismatches = {len(homog_bad)}",
-        "expected 0",
-        not homog_bad,
-    )]
-    pair_bad = []
-    curated = sorted(CURATED_SIMPLE, key=lambda t: t.sort_key)
-    for i, s1 in enumerate(curated):
-        for s2 in curated[i + 1:]:
-            g = GroupType(0, (s1, s2))
-            if oracle_depth(g) not in depth(g):
-                pair_bad.append(str(g))
-    out.append(Check(
-        "mixed-product depth within the interval bounds",
-        {"pairs": len(curated) * (len(curated) - 1) // 2, "mismatches": pair_bad},
-        f"mismatches = {len(pair_bad)}",
-        "expected 0",
-        not pair_bad,
-    ))
-    return out
+    pairs = [GroupType(0, pair) for pair in itertools.combinations(curated, 2)]
+    pair_bad = [str(g) for g in pairs if oracle_depth(g) not in depth(g)]
+    return [
+        _verdict("homogeneous power depth z + depth(S) + k - 1",
+                 {"powers": "k <= 4, z in {0, 2}"}, "mismatches", homog_bad),
+        _verdict("mixed-product depth within the interval bounds",
+                 {"pairs": len(pairs)}, "mismatches", pair_bad, None),
+    ]
 
 
 def suite_ld(max_dim: int) -> list[Check]:
@@ -299,30 +258,12 @@ def suite_cd(max_dim: int) -> list[Check]:
 def suite_lcd(max_dim: int) -> list[Check]:
     """Semisimple length against the chain difference, over the enumeration,
     with equality spot-checked at SU(2)^k."""
-    scanned = 0
-    failures: list[str] = []
-    for g in iter_groups(max_dim):
-        scanned += 1
-        for check in check_lcd(g, refine=True):
-            if not check.passed:
-                failures.append(f"{g}: {check.claim}")
-    out = [Check(
-        "chain-difference length bounds over the enumeration",
-        {"max_dim": max_dim, "groups_scanned": scanned, "failures": failures[:8]},
-        f"failures = {len(failures)}",
-        "expected 0",
-        not failures,
-    )]
-    eq_bad = [k for k in range(1, 6)
-              if length(GroupType(0, (SimpleType("SU", 2),) * k))
-              != 2 * chain_difference(GroupType(0, (SimpleType("SU", 2),) * k)).exact_value + 2]
-    out.append(Check(
-        "equality l = 2 cd + 2 at every power of SU(2)",
-        {"k": "1..5", "mismatches": eq_bad},
-        f"mismatches = {len(eq_bad)}",
-        "expected 0",
-        not eq_bad,
-    ))
+    out = [_sweep("chain-difference length bounds over the enumeration", max_dim, check_lcd)]
+    powers = {k: GroupType(0, (SimpleType("SU", 2),) * k) for k in range(1, 6)}
+    eq_bad = [k for k, g in powers.items()
+              if length(g) != 2 * chain_difference(g).exact_value + 2]
+    out.append(_verdict("equality l = 2 cd + 2 at every power of SU(2)",
+                        {"k": "1..5"}, "mismatches", eq_bad, None))
     superadd_bad = []
     for g in iter_groups(min(max_dim, 40)):
         if len(g.counts()) < 2:
@@ -332,27 +273,28 @@ def suite_lcd(max_dim: int) -> list[Check]:
             for s, k in g.counts())
         if chain_difference(g).lower < block_sum:
             superadd_bad.append(str(g))
-    out.append(Check(
-        "chain difference at least the sum over homogeneous blocks",
-        {"mismatches": superadd_bad[:8]},
-        f"mismatches = {len(superadd_bad)}",
-        "expected 0",
-        not superadd_bad,
-    ))
+    out.append(_verdict("chain difference at least the sum over homogeneous blocks",
+                        {}, "mismatches", superadd_bad))
     return out
 
 
-def suite_complex(max_dim: int, max_degree: int = 40) -> list[Check]:
+def suite_complex(max_dim: int) -> list[Check]:
     """Compact length strictly below the complexified length."""
-    bad = [str(s) for s in iter_simple_types(max_degree=max_degree)
+    bad = [str(s) for s in iter_simple_types(max_degree=40)
            if not length_simple(s) < length_complex_semisimple(simple(s.family, s.degree))]
-    return [Check(
-        "compact length below complexified length for simple types",
-        {"max_degree": max_degree, "mismatches": bad[:8]},
-        f"mismatches = {len(bad)}",
-        "expected 0",
-        not bad,
-    )]
+    return [_verdict("compact length below complexified length for simple types",
+                     {"max_degree": 40}, "mismatches", bad)]
+
+
+def _classical_lengths(n: int) -> dict[str, int]:
+    """Length of each classical group of degree n, for the families that
+    have one (Sp needs n even and at least 4, SO at least 7)."""
+    lengths = {"SU": f_classical("SU", n)}
+    if n % 2 == 0 and n >= 4:
+        lengths["Sp"] = f_classical("Sp", n)
+    if n >= 7:
+        lengths["SO"] = f_classical("SO", n)
+    return lengths
 
 
 def suite_tables(max_dim: int) -> list[Check]:
@@ -363,29 +305,15 @@ def suite_tables(max_dim: int) -> list[Check]:
         if not h.is_classical:
             continue
         n_min = min_irrep_dim(h)
-        for fam in ("SU", "Sp", "SO"):
-            if fam == "Sp" and (n_min % 2 or n_min < 4):
-                continue
-            if fam == "SO" and n_min < 7:
-                continue
-            if not f_classical(fam, n_min) > f_classical(h.family, h.degree):
+        for fam, f in _classical_lengths(n_min).items():
+            if not f > f_classical(h.family, h.degree):
                 bad.append(f"{h} -> {fam}({n_min})")
-    out = [Check(
-        "classical minimal-representation length growth",
-        {"max_degree": 30, "failures": bad[:8]},
-        f"failures = {len(bad)}",
-        "expected 0",
-        not bad,
-    )]
+    out = [_verdict("classical minimal-representation length growth",
+                    {"max_degree": 30}, "failures", bad)]
     for family, m_expected in _EXBD_M.items():
         s = SimpleType(family)
         n_min = min_irrep_dim(s)
-        candidates = [f_classical("SU", n_min)]
-        if n_min % 2 == 0 and n_min >= 4:
-            candidates.append(f_classical("Sp", n_min))
-        if n_min >= 7:
-            candidates.append(f_classical("SO", n_min))
-        m = min(candidates)
+        m = min(_classical_lengths(n_min).values())
         out.append(Check(
             f"exceptional cut-off for {family}",
             {"N": n_min, "m": m},
@@ -396,12 +324,12 @@ def suite_tables(max_dim: int) -> list[Check]:
     return out
 
 
-def suite_lendim(max_dim: int, max_degree: int = 60) -> list[Check]:
+def suite_lendim(max_dim: int) -> list[Check]:
     """Radical length-vs-dimension formulas: exact agreement, the uniform
     floor, and the large-degree ratio limits."""
     bad = []
     floor_bad = []
-    for s in iter_simple_types(max_degree=max_degree):
+    for s in iter_simple_types(max_degree=60):
         if not s.is_classical:
             continue
         if lendim_formula(s) != QuadExpr.rational(length_simple(s)):
@@ -410,20 +338,10 @@ def suite_lendim(max_dim: int, max_degree: int = 60) -> list[Check]:
         if not QuadExpr.rational(length_simple(s)) >= floor:
             floor_bad.append(str(s))
     out = [
-        Check(
-            "radical formula reproduces the classical length exactly",
-            {"max_degree": max_degree, "mismatches": bad[:8]},
-            f"mismatches = {len(bad)}",
-            "expected 0",
-            not bad,
-        ),
-        Check(
-            "uniform floor l >= beta*sqrt(d) - 9/8",
-            {"max_degree": max_degree, "mismatches": floor_bad[:8]},
-            f"mismatches = {len(floor_bad)}",
-            "expected 0",
-            not floor_bad,
-        ),
+        _verdict("radical formula reproduces the classical length exactly",
+                 {"max_degree": 60}, "mismatches", bad),
+        _verdict("uniform floor l >= beta*sqrt(d) - 9/8",
+                 {"max_degree": 60}, "mismatches", floor_bad),
     ]
     limits = {"SU": QuadExpr.rational(2),
               "Sp": QuadExpr.sqrt(2, Fraction(3, 2)),
@@ -467,3 +385,24 @@ def run_suites(names: Iterable[str], max_dim: int = DEFAULT_MAX_DIM) -> list[tup
         for check in SUITES[name](max_dim):
             out.append((name, check))
     return out
+
+
+def cross_validate(scope: Iterable[GroupType]) -> list[dict]:
+    """Compare the closed forms against the brute force on each group in
+    ``scope``; returns one record per group, with ``pass`` set when the
+    lengths agree and the brute-force depth lies in (equals, when exact)
+    the formula depth."""
+    records = []
+    for g in scope:
+        formula_l = length(g)
+        formula_d = depth(g)
+        brute_l, brute_d = oracle_length(g), oracle_depth(g)
+        records.append({
+            "group": str(g),
+            "formula_l": formula_l,
+            "oracle_l": brute_l,
+            "formula_depth": formula_d.to_json(),
+            "oracle_depth": brute_d,
+            "pass": brute_l == formula_l and brute_d in formula_d,
+        })
+    return records

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +11,24 @@ from liechain.cli import main
 from liechain.errors import IncompleteDatabaseError
 from liechain.formulas import depth, depth_simple, length
 from liechain.groups import GroupType, SimpleType, iter_groups, parse_group, torus
-from liechain.oracle import Oracle, cross_validate, oracle_depth, oracle_length
+from liechain.oracle import Oracle, oracle_depth, oracle_length
 from liechain.subgroups import CURATED_SIMPLE, is_curated, maximal_connected
+from liechain.suites import cross_validate
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def full_type_recursion(g, table):
+    """(length, depth) by the recursion memoized by the full type, torus
+    included: a reference independent of the oracle's torus shift."""
+    if g.is_trivial:
+        return (0, 0)
+    if g not in table:
+        entries, flag = maximal_connected(g)
+        assert flag.complete
+        values = [full_type_recursion(e.subgroup, table) for e in entries]
+        table[g] = (1 + max(l for l, _ in values), 1 + min(d for _, d in values))
+    return table[g]
 
 
 @pytest.mark.parametrize("spec,expected", [
@@ -76,37 +96,31 @@ def test_formula_depth_brackets_oracle():
 
 
 def test_memoization_soundness():
+    # against the full-type memoized recursion on every draw, and against
+    # the unmemoized walk of every chain where that is cheap (dim <= 20)
     rng = random.Random(20250809)
     small = [SimpleType("SU", 2), SimpleType("SU", 3), SimpleType("Sp", 4)]
     fresh = Oracle()
     bare = Oracle(cached=False)
+    table = {}
     for _ in range(100):
         factors = tuple(rng.choice(small) for _ in range(rng.randint(0, 3)))
         g = GroupType(rng.randint(0, 3), factors)
         if g.is_trivial:
             continue
-        assert fresh.compute(g) == bare.compute(g)
+        value = fresh.compute(g)
+        assert value == full_type_recursion(g, table), g
+        if g.dim <= 20:
+            assert value == bare.compute(g), g
 
 
 def test_torus_stripped_memo_matches_full_type_recursion():
-    # reference: the recursion memoized by the full type, torus included
     table = {}
-
-    def reference(g):
-        if g.is_trivial:
-            return (0, 0)
-        if g not in table:
-            entries, flag = maximal_connected(g)
-            assert flag.complete
-            values = [reference(e.subgroup) for e in entries]
-            table[g] = (1 + max(l for l, _ in values), 1 + min(d for _, d in values))
-        return table[g]
-
     oracle = Oracle()
     groups = [g for g in iter_groups(30) if is_curated(g)]
     assert len(groups) == 720
     for g in groups:
-        assert oracle.compute(g) == reference(g), g
+        assert oracle.compute(g) == full_type_recursion(g, table), g
     # one memo entry per semisimple type, none per torus rank
     assert all(h.torus_rank == 0 for h in oracle.table)
     assert len(oracle.table) < len(table)
@@ -117,6 +131,28 @@ def test_cli_oracle_large_torus(capsys):
     # recursion runs through the 20000 torus drops
     assert main(["oracle", "SU(3) x T^20000"]) == 0
     assert capsys.readouterr().out == "length 20004  depth 20003\n"
+
+
+def _python(code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_import_leaves_recursion_limit_alone():
+    proc = _python("import sys; before = sys.getrecursionlimit(); import liechain; "
+                   "print(before, sys.getrecursionlimit())")
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == after
+
+
+def test_oracle_long_chain_under_default_recursion_limit():
+    # l(SU(2)^600) = 1200: the walk keeps its own stack, so the chain's
+    # length never meets the interpreter's recursion limit
+    proc = _python("import sys; from liechain.cli import main; sys.setrecursionlimit(1000); "
+                   "sys.exit(main(['oracle', 'SU(2)^600']))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "length 1200  depth 601\n", "")
 
 
 def test_cross_validate_curated_scope():

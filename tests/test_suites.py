@@ -1,5 +1,11 @@
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
+from liechain.cli import main
 from liechain.suites import DEFAULT_MAX_DIM, SUITES, run_suites
 
 
@@ -33,3 +39,26 @@ def test_cd_suite_boundary():
 
 def test_default_bound():
     assert DEFAULT_MAX_DIM == 60
+
+
+def _suite_digests():
+    """The per-suite sha256 digests the benchmark pins, read from its
+    workload definitions (which import nothing from liechain)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.SUITE_DIGESTS
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_check_theorems_output_matches_pinned_digest(name, capsys):
+    # every byte of `liechain --json check-theorems` at the default bound
+    code = main(["--json", "check-theorems", "--suite", name])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _suite_digests()[name]
+    assert code == (1 if name == "cd" else 0)
