@@ -5,10 +5,11 @@ arbitrary user-supplied chains against the subgroup database."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import MalformedTypeError
-from .groups import TRIVIAL, GroupType, SimpleType, canonicalize, parse_group, simple, torus
+from .formulas import max_step_simple, min_step_simple
+from .groups import GroupType, parse_group
 from .oracle import oracle_depth
 from .subgroups import (
     NO,
@@ -56,38 +57,47 @@ class Chain:
         return " > ".join(str(g) for g in self.nodes)
 
 
-def _annotate(nodes: Sequence[GroupType]) -> Chain:
-    """Attach the database embedding kind to each adjacent pair."""
-    steps = []
-    for parent, child in zip(nodes, nodes[1:]):
-        entries, _ = maximal_connected(parent)
+# -- witness chains ------------------------------------------------------------
+
+def _descend(g: GroupType, pick: Callable[[GroupType], GroupType]) -> Chain:
+    """The chain from ``g`` down to the trivial group that takes the child
+    ``pick`` chooses at each node, with the database kind of each step."""
+    nodes, steps = [g], []
+    while not g.is_trivial:
+        child = pick(g)
+        entries, _ = maximal_connected(g)
         kind = next((e.kind for e in entries if e.subgroup == child), None)
-        assert kind is not None, f"constructed step {parent} > {child} not in database"
+        assert kind is not None, f"constructed step {g} > {child} not in database"
+        nodes.append(child)
         steps.append(kind)
+        g = child
     return Chain(tuple(nodes), tuple(steps))
 
 
-# -- longest chains ------------------------------------------------------------
+def _max_pick(g: GroupType) -> GroupType:
+    """Any torus drops first, then the first factor takes its longest step."""
+    if g.torus_rank > 0:
+        return GroupType(g.torus_rank - 1, g.factors)
+    s = g.factors[0]
+    return g.replace_one(s, max_step_simple(s))
 
-def _max_step_simple(s: SimpleType) -> GroupType:
-    """The maximal subgroup chosen for the longest-chain descent of one
-    simple factor; each choice satisfies l(child) = l(s) - 1."""
-    if s.family == "SU":
-        if s.degree == 2:
-            return torus(1)
-        return canonicalize("SU", s.degree - 1) * torus(1)
-    if s.family == "Sp":
-        return canonicalize("Sp", 2) * canonicalize("Sp", s.degree - 2)
-    if s.family == "SO":
-        return canonicalize("SO", 4) * canonicalize("SO", s.degree - 4)
-    entry = {
-        "G2": simple("SU", 3),
-        "F4": simple("SO", 9),
-        "E6": simple("SO", 10) * torus(1),
-        "E7": simple("SO", 12) * simple("SU", 2),
-        "E8": simple("SO", 16),
-    }
-    return entry[s.family]
+
+def _min_pick(g: GroupType) -> GroupType:
+    """For S^k x T^z: the diagonal collapses S^k to S, then S takes its
+    shortest steps with the torus kept, and the torus drops last."""
+    if not g.factors:
+        return GroupType(g.torus_rank - 1)
+    s = g.factors[0]
+    if len(g.factors) > 1:
+        return g.drop_one(s)
+    return g.replace_one(s, min_step_simple(s))
+
+
+def _curated_pick(g: GroupType) -> GroupType:
+    """The first database entry whose brute-force depth is one less."""
+    want = oracle_depth(g) - 1
+    entries, _ = maximal_connected(g)
+    return next(e.subgroup for e in entries if oracle_depth(e.subgroup) == want)
 
 
 def max_chain(g: GroupType) -> Chain:
@@ -95,49 +105,7 @@ def max_chain(g: GroupType) -> Chain:
     its length equals ``length(g)``.  Factors descend one at a time in
     canonical order; any torus present (central, or introduced by a Levi
     step) drops before the next factor step."""
-    nodes = [g]
-    current = g
-    while not current.is_trivial:
-        if current.torus_rank > 0:
-            current = GroupType(current.torus_rank - 1, current.factors)
-        else:
-            s = current.factors[0]
-            current = current.replace_one(s, _max_step_simple(s))
-        nodes.append(current)
-    return _annotate(nodes)
-
-
-# -- shortest chains -----------------------------------------------------------
-
-def _min_descent_simple(s: SimpleType) -> tuple[GroupType, ...]:
-    """Successor nodes of the shortest known descent of one simple group;
-    realizes depth_simple(s) steps, ending at the trivial group."""
-    tail = (simple("SU", 2), torus(1), TRIVIAL)
-    if s.family == "SU":
-        n = s.degree
-        if n == 2:
-            return (torus(1), TRIVIAL)
-        if n == 3:
-            return tail
-        if n == 7:
-            return (simple("SO", 7), simple("G2")) + tail
-        if n % 2 == 0:
-            return (simple("Sp", n),) + tail
-        return (canonicalize("SO", n),) + tail
-    if s.family == "Sp":
-        return tail
-    if s.family == "SO":
-        n = s.degree
-        if n == 7:
-            return (simple("G2"),) + tail
-        if n == 8:
-            return (simple("SU", 3),) + tail
-        if n % 2:
-            return tail
-        return (simple("SO", n - 1),) + tail
-    if s.family == "E6":
-        return (simple("F4"),) + tail
-    return tail  # G2, F4, E7, E8 all contain a maximal SU_2
+    return _descend(g, _max_pick)
 
 
 def min_chain(g: GroupType) -> Optional[Chain]:
@@ -145,29 +113,11 @@ def min_chain(g: GroupType) -> Optional[Chain]:
     depth is known exactly: tori, homogeneous powers of one simple type (plus
     torus), and groups inside the curated coverage set (where the brute force
     pins the depth).  Returns None otherwise."""
-    z = g.torus_rank
-    counts = g.counts()
-    if not counts:
-        nodes = [torus(k) for k in range(z, -1, -1)]
-        return _annotate(nodes)
-    if len(counts) == 1:
-        s, k = counts[0]
-        nodes = [GroupType(z, (s,) * j) for j in range(k, 0, -1)]
-        nodes += [step.with_torus(z) for step in _min_descent_simple(s)]
-        # the descent's own terminal torus keeps dropping to the trivial group
-        nodes += [torus(j) for j in range(z - 1, -1, -1)]
-        return _annotate(nodes)
+    if len(g.counts()) <= 1:
+        return _descend(g, _min_pick)
     if not is_curated(g):
         return None
-    nodes = [g]
-    current = g
-    while not current.is_trivial:
-        want = oracle_depth(current) - 1
-        entries, _ = maximal_connected(current)
-        current = next(e.subgroup for e in entries
-                       if oracle_depth(e.subgroup) == want)
-        nodes.append(current)
-    return _annotate(nodes)
+    return _descend(g, _curated_pick)
 
 
 # -- verification --------------------------------------------------------------

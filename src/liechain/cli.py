@@ -91,11 +91,15 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_verify_chain(args) -> int:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file} is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     nodes = parse_chain_text(text)
     report = verify_chain(nodes)
     if args.json:

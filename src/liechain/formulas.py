@@ -9,7 +9,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import MalformedTypeError
-from .groups import GroupType, SimpleType
+from .groups import GroupType, SimpleType, canonicalize, simple, torus
 from .oracle import oracle_depth
 from .radicals import ALPHA, BETA, BETA_INV, QuadExpr
 from .subgroups import is_curated
@@ -31,10 +31,6 @@ class BoundsOrExact:
     @classmethod
     def exact(cls, value: int) -> "BoundsOrExact":
         return cls(value, value)
-
-    @classmethod
-    def bounds(cls, lower: int, upper: int) -> "BoundsOrExact":
-        return cls(lower, upper)
 
     @property
     def is_exact(self) -> bool:
@@ -94,23 +90,53 @@ def length_complex_semisimple(g: GroupType) -> int:
     return (g.dim + g.rank) // 2 + g.rank
 
 
-def depth_simple(s: SimpleType) -> int:
-    """Shortest unrefinable chain length of a simple group."""
+def max_step_simple(s: SimpleType) -> GroupType:
+    """The maximal subgroup a longest chain of ``s`` steps to; each choice
+    satisfies l(child) = l(s) - 1."""
     if s.family == "SU":
-        if s.degree == 2:
-            return 2
-        if s.degree == 3:
-            return 3
-        if s.degree == 7:
-            return 5
-        return 4
+        return canonicalize("SU", s.degree - 1) * torus(1)
+    if s.family == "Sp":
+        return canonicalize("Sp", 2) * canonicalize("Sp", s.degree - 2)
     if s.family == "SO":
-        if s.degree == 7 or s.degree % 2 == 0:
-            return 4
-        return 3
-    if s.family == "E6":
-        return 4
-    return 3  # Sp_n, SO_odd >= 9, G2, F4, E7, E8
+        return canonicalize("SO", 4) * canonicalize("SO", s.degree - 4)
+    entry = {
+        "G2": simple("SU", 3),
+        "F4": simple("SO", 9),
+        "E6": simple("SO", 10) * torus(1),
+        "E7": simple("SO", 12) * simple("SU", 2),
+        "E8": simple("SO", 16),
+    }
+    return entry[s.family]
+
+
+def min_step_simple(s: SimpleType) -> GroupType:
+    """The maximal subgroup a shortest chain of ``s`` steps to: one simple
+    factor, or the circle for SU_2, of depth one less than ``s``."""
+    family, n = s.family, s.degree
+    if family == "SU":
+        if n == 2:
+            return torus(1)
+        if n == 7:
+            return simple("SO", 7)
+        # SO_3 = SU_2 and SO_5 = Sp_4 for the small odd degrees
+        return canonicalize("Sp" if n % 2 == 0 else "SO", n)
+    if family == "SO":
+        if n == 7:
+            return simple("G2")
+        if n == 8:
+            return simple("SU", 3)
+        if n % 2 == 0:
+            return simple("SO", n - 1)
+    if family == "E6":
+        return simple("F4")
+    return simple("SU", 2)  # Sp_n, SO_odd >= 9, G2, F4, E7, E8
+
+
+@lru_cache(maxsize=None)
+def depth_simple(s: SimpleType) -> int:
+    """Shortest unrefinable chain length of a simple group: one more than
+    the depth of its ``min_step_simple``."""
+    return 1 + depth(min_step_simple(s)).exact_value
 
 
 def complex_depth_simple(s: SimpleType) -> int:
@@ -140,7 +166,7 @@ def depth(g: GroupType, refine: bool = False) -> BoundsOrExact:
     upper = z + sum(k + depth_simple(s) - 1 for s, k in counts)
     if refine and is_curated(g):
         return BoundsOrExact.exact(oracle_depth(g))
-    return BoundsOrExact.bounds(lower, upper)
+    return BoundsOrExact(lower, upper)
 
 
 def chain_difference(g: GroupType, refine: bool = False) -> BoundsOrExact:

@@ -137,10 +137,6 @@ class GroupType:
         return self.torus_rank == 0 and len(self.factors) == 1
 
     @property
-    def is_semisimple(self) -> bool:
-        return self.torus_rank == 0 and bool(self.factors)
-
-    @property
     def simple_factor(self) -> SimpleType:
         if not self.is_simple:
             raise MalformedTypeError(f"{self} is not simple")
@@ -277,6 +273,10 @@ def canonicalize(family: str, degree: int = 0) -> GroupType:
 
 # -- parsing ----------------------------------------------------------------
 
+# the most simple factors one "^" power may build, so that a short spec such
+# as SU(2)^99999999999999999999 cannot ask for an unbounded factor tuple
+_MAX_POWER_FACTORS = 10**6
+
 _TOKEN = re.compile(r"\s*([A-Za-z]+[0-9]*|[0-9]+|[()^])")
 
 
@@ -353,7 +353,12 @@ class _Parser:
             count = self.parse_int()
             if count < 1:
                 raise ParseError("exponent must be positive", pos)
-            return product(atom for _ in range(count))
+            if len(atom.factors) * count > _MAX_POWER_FACTORS:
+                raise ParseError(
+                    f"power has more than {_MAX_POWER_FACTORS} simple factors", pos)
+            # a circle atom (SO(2)) may take any exponent, like T^k
+            factors = atom.factors * count if atom.factors else ()
+            return GroupType(atom.torus_rank * count, factors)
         return atom
 
     def parse_atom(self) -> tuple[GroupType, bool]:

@@ -252,9 +252,6 @@ class QuadExpr:
         return f"QuadExpr({str(self)})"
 
 
-ZERO = QuadExpr()
-ONE = QuadExpr.rational(1)
-
 # the two constants appearing in the dimension-length bounds:
 #   ALPHA = sqrt(248) - sqrt(128) = 4.4343...
 #   BETA  = 5 * 2**(-3/2)         = 1.7677...

@@ -1,10 +1,27 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liechain.chains import Chain, max_chain, min_chain, parse_chain_text, verify_chain
 from liechain.errors import MalformedTypeError
-from liechain.formulas import depth, length
-from liechain.groups import GroupType, SimpleType, parse_group, simple
+from liechain.formulas import (
+    depth,
+    length,
+    length_simple,
+    max_step_simple,
+    min_step_simple,
+)
+from liechain.groups import (
+    GroupType,
+    SimpleType,
+    iter_groups,
+    iter_simple_types,
+    parse_group,
+    simple,
+)
+from liechain.subgroups import maximal_connected_simple
 
 
 def _specs(chain):
@@ -88,6 +105,34 @@ def test_min_chain_curated_mixed_product():
 
 def test_min_chain_unavailable_outside_curated():
     assert min_chain(parse_group("SU(7) x SU(2)")) is None
+
+
+# sha256 of the JSON of max_chain and min_chain (None when unavailable), one
+# line each, over iter_groups(30) and then every simple type of degree <= 60
+CHAINS_DIGEST = "6bf78b7218585e8d40449eca46142785fc603640ba4fc3a740e774c1894bf4fc"
+
+
+def test_chain_output_matches_pinned_digest():
+    groups = list(iter_groups(30))
+    groups += [GroupType(0, (s,)) for s in iter_simple_types(max_degree=60)]
+    digest = hashlib.sha256()
+    for g in groups:
+        shortest = min_chain(g)
+        shortest_json = shortest.to_json() if shortest is not None else None
+        digest.update((json.dumps(max_chain(g).to_json()) + "\n").encode())
+        digest.update((json.dumps(shortest_json) + "\n").encode())
+    assert len(groups) == 867
+    assert digest.hexdigest() == CHAINS_DIGEST
+
+
+def test_simple_steps_are_database_entries():
+    # iter_simple_types passes the five exceptional types at any degree bound
+    for s in iter_simple_types(max_degree=60):
+        entries, _ = maximal_connected_simple(s)
+        children = {e.subgroup for e in entries}
+        assert max_step_simple(s) in children, s
+        assert min_step_simple(s) in children, s
+        assert length(max_step_simple(s)) == length_simple(s) - 1, s
 
 
 def test_verify_rejects_non_maximal_step():

@@ -85,6 +85,25 @@ def test_verify_chain_file(tmp_path, capsys):
     assert payload["overall"] == "invalid" and payload["failed_step"] == 0
 
 
+def test_verify_chain_non_utf8_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "chain.txt"
+    path.write_bytes(b"\xff\n")
+    code, out, err = run(capsys, "verify-chain", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_dims_of_a_large_power(capsys):
+    code, out, _ = run(capsys, "dims", "E8^20000")
+    assert code == 0 and out == "dim 4960000  rank 160000\n"
+
+
+def test_power_over_the_factor_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "len", "SU(2)^99999999999999999999")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "len", "SU(2")
     assert code == 2 and "error" in err

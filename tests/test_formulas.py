@@ -30,7 +30,7 @@ from liechain.suites import is_published_cd_one
 def test_bounds_or_exact():
     exact = BoundsOrExact.exact(5)
     assert exact.is_exact and exact.exact_value == 5 and exact.to_json() == 5
-    window = BoundsOrExact.bounds(4, 7)
+    window = BoundsOrExact(4, 7)
     assert not window.is_exact and 5 in window and 8 not in window
     assert window.to_json() == {"lower": 4, "upper": 7}
     with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ def test_depth_values():
     assert depth(parse_group("T^9")) == BoundsOrExact.exact(9)
     assert depth(parse_group("SO(7)^2 x T^2")) == BoundsOrExact.exact(7)
     window = depth(parse_group("SU(4) x Sp(4)"))
-    assert window == BoundsOrExact.bounds(4, 7)
+    assert window == BoundsOrExact(4, 7)
     assert depth(parse_group("SU(4) x Sp(4)"), refine=True) == BoundsOrExact.exact(5)
     # outside the curated set the interval stays an interval
     assert not depth(parse_group("SU(7) x SU(2)"), refine=True).is_exact

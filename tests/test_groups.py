@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from liechain.groups import (
     iter_groups,
     iter_simple_types,
     parse_group,
+    product,
     simple,
     torus,
 )
@@ -91,6 +94,27 @@ def test_parse_examples():
     assert parse_group("T") == torus(1)
     assert parse_group("su(2) X sp(4)") == simple("SU", 2) * simple("Sp", 4)
     assert parse_group("e6") == simple("E6")
+
+
+def test_power_built_in_one_step_matches_repeated_product():
+    for spec, atom, count in [("E8^3", "E8", 3), ("SO(4)^3", "SO(4)", 3),
+                              ("so(2)^3", "SO(2)", 3)]:
+        assert parse_group(spec) == product(parse_group(atom) for _ in range(count))
+    assert parse_group("SO(4)^3 x SO(2)^2") == parse_group("SU(2)^6 x T^2")
+    assert parse_group("so(2)^3") == torus(3)
+    assert parse_group("SO(2)^99999999999999999999") == torus(99999999999999999999)
+
+
+def test_power_over_the_factor_cap_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        for text in ["SU(2)^1000001", "SO(4)^500001", "SU(2)^99999999999999999999"]:
+            with pytest.raises(ParseError):
+                parse_group(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a million-factor tuple alone takes 8 MB
 
 
 def test_parse_errors_carry_position():
