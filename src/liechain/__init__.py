@@ -32,6 +32,7 @@ from .groups import (
     SimpleType,
     canonicalize,
     iter_groups,
+    iter_semisimple,
     iter_simple_types,
     parse_group,
     product,

@@ -353,13 +353,9 @@ def elem_inequalities(x, y) -> tuple[Optional[bool], Optional[bool], Optional[bo
     return first, second, third
 
 
-def smalll_deficit(ns: Sequence[int]) -> QuadExpr:
-    """Deficit of the orthogonal-product length inequality for a tuple
-    (n_1, ..., n_k) with k >= 2 and n_1 >= n_i >= 7: the exact value of
-
-        (5/4) sum n_i - (7/4) k - (5/4) sqrt(sum n_i(n_i-1)) - sqrt(sum_{i>=2} n_i)
-
-    claimed nonnegative except exactly at (n_1, k) = (7, 2)."""
+def _smalll_sums(ns: Sequence[int]) -> tuple[int, int, int, int]:
+    """(S, Q, R, k) = (sum n_i, sum n_i(n_i-1), sum_{i>=2} n_i, k) of a
+    valid tuple for ``smalll_deficit``."""
     ns = tuple(int(n) for n in ns)
     k = len(ns)
     if k < 2:
@@ -367,10 +363,35 @@ def smalll_deficit(ns: Sequence[int]) -> QuadExpr:
     if any(n < 7 for n in ns) or any(n > ns[0] for n in ns):
         raise MalformedTypeError(f"tuple must satisfy n_1 >= n_i >= 7, got {ns}")
     total = sum(ns)
+    return total, sum(n * (n - 1) for n in ns), total - ns[0], k
+
+
+def smalll_deficit(ns: Sequence[int]) -> QuadExpr:
+    """Deficit of the orthogonal-product length inequality for a tuple
+    (n_1, ..., n_k) with k >= 2 and n_1 >= n_i >= 7: the exact value of
+
+        (5/4) sum n_i - (7/4) k - (5/4) sqrt(sum n_i(n_i-1)) - sqrt(sum_{i>=2} n_i)
+
+    claimed nonnegative except exactly at (n_1, k) = (7, 2)."""
+    total, q, r, k = _smalll_sums(ns)
     value = QuadExpr.rational(Fraction(5 * total, 4) - Fraction(7 * k, 4))
-    value -= QuadExpr.sqrt(sum(n * (n - 1) for n in ns), Fraction(5, 4))
-    value -= QuadExpr.sqrt(total - ns[0])
+    value -= QuadExpr.sqrt(q, Fraction(5, 4))
+    value -= QuadExpr.sqrt(r)
     return value
+
+
+def smalll_deficit_negative(ns: Sequence[int]) -> bool:
+    """Whether ``smalll_deficit(ns)`` is negative, decided in integers.
+
+    With S = sum n_i, Q = sum n_i(n_i-1) and R = sum_{i>=2} n_i, four times
+    the deficit is A - 5 sqrt(Q) - 4 sqrt(R) with A = 5S - 7k >= 28k > 0,
+    as every n_i >= 7.  Both sides of A < 5 sqrt(Q) + 4 sqrt(R) are then
+    nonnegative, so squaring keeps the order: it holds iff
+    B = A^2 - 25Q - 16R < 40 sqrt(QR), that is iff B < 0 or B^2 < 1600 QR."""
+    total, q, r, k = _smalll_sums(ns)
+    a = 5 * total - 7 * k
+    b = a * a - 25 * q - 16 * r
+    return b < 0 or b * b < 1600 * q * r
 
 
 # slack constants in the length vs chain-difference bound for simple groups;
@@ -392,7 +413,9 @@ def check_lcd(g: GroupType) -> list[Check]:
     chain difference is refined to the brute-force value on the curated set."""
     cd = chain_difference(g, refine=True)
     cd_low = cd.lower
-    l_ss = length(g.semisimple_part)
+    h = g.semisimple_part
+    l_ss = length(h)
+    dim_ss = h.dim
     out = [
         Check(
             "semisimple length at most twice the chain difference plus two",
@@ -402,7 +425,6 @@ def check_lcd(g: GroupType) -> list[Check]:
             l_ss <= 2 * cd_low + 2,
         )
     ]
-    dim_ss = g.semisimple_part.dim
     rendered, ok = _quad_cd_verdict(cd_low, dim_ss)
     out.append(
         Check(

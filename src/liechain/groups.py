@@ -424,22 +424,32 @@ def iter_simple_types(max_dim: int | None = None,
             yield s
 
 
-def iter_groups(max_dim: int) -> Iterator[GroupType]:
-    """All nontrivial canonical groups with total dim <= max_dim, tori included.
+def iter_semisimple(max_dim: int) -> Iterator[tuple[GroupType, range]]:
+    """Each semisimple part H of the groups with total dim <= max_dim, with
+    the torus ranks z for which H x T^z is in range: 1..max_dim for the
+    trivial part (the tori), 0..max_dim - dim H otherwise.
 
-    Deterministic order: semisimple factor multisets in canonical order, then
-    increasing torus rank.
+    Deterministic order: factor multisets in canonical order.
     """
     simples = sorted(iter_simple_types(max_dim=max_dim), key=lambda s: s.sort_key)
 
     def extend(prefix: tuple[SimpleType, ...], budget: int, start: int):
-        yield prefix
+        yield prefix, budget
         for i in range(start, len(simples)):
             s = simples[i]
             if s.dim <= budget:
                 yield from extend(prefix + (s,), budget - s.dim, i)
 
-    for factors in extend((), max_dim, 0):
-        used = sum(s.dim for s in factors)
-        for z in range(0 if factors else 1, max_dim - used + 1):
-            yield GroupType(z, factors)
+    for factors, budget in extend((), max_dim, 0):
+        yield GroupType(0, factors), range(0 if factors else 1, budget + 1)
+
+
+def iter_groups(max_dim: int) -> Iterator[GroupType]:
+    """All nontrivial canonical groups with total dim <= max_dim, tori included.
+
+    Deterministic order: semisimple parts as ``iter_semisimple`` yields them,
+    then increasing torus rank.
+    """
+    for h, zs in iter_semisimple(max_dim):
+        for z in zs:
+            yield GroupType(z, h.factors)

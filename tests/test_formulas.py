@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from liechain.formulas import (
     length_complex_semisimple,
     length_simple,
     smalll_deficit,
+    smalll_deficit_negative,
 )
 from liechain.groups import SimpleType, iter_simple_types, parse_group, simple
 from liechain.radicals import QuadExpr
@@ -190,6 +192,20 @@ def test_smalll_deficit():
         smalll_deficit((7, 8))
     with pytest.raises(MalformedTypeError):
         smalll_deficit((8, 6))
+
+
+def test_smalll_integer_sign_matches_exact_deficit():
+    # every tuple the smalll suite checks: k in 2..4, 20 >= n_1 >= n_i >= 7
+    checked = 0
+    for k in (2, 3, 4):
+        for n1 in range(7, 21):
+            for rest in itertools.product(range(7, n1 + 1), repeat=k - 1):
+                ns = (n1, *rest)
+                checked += 1
+                assert smalll_deficit_negative(ns) == (smalll_deficit(ns).sign() < 0), ns
+    assert checked == 12145
+    with pytest.raises(MalformedTypeError):
+        smalll_deficit_negative((7, 8))
 
 
 def test_check_lcd_boundaries():

@@ -10,6 +10,7 @@ from liechain.groups import (
     SimpleType,
     canonicalize,
     iter_groups,
+    iter_semisimple,
     iter_simple_types,
     parse_group,
     product,
@@ -163,6 +164,39 @@ def test_iter_groups_bounded_and_unique():
     assert torus(12) in seen
     assert parse_group("SU(2)^4") in seen
     assert parse_group("SU(3) x T^4") in seen
+
+
+def _recursive_groups(max_dim):
+    """The group enumeration as one recursion over factor multisets, each
+    followed by its torus ranks: the reference for ``iter_semisimple``."""
+    simples = sorted(iter_simple_types(max_dim=max_dim), key=lambda s: s.sort_key)
+
+    def extend(prefix, budget, start):
+        yield prefix
+        for i in range(start, len(simples)):
+            s = simples[i]
+            if s.dim <= budget:
+                yield from extend(prefix + (s,), budget - s.dim, i)
+
+    for factors in extend((), max_dim, 0):
+        used = sum(s.dim for s in factors)
+        for z in range(0 if factors else 1, max_dim - used + 1):
+            yield GroupType(z, factors)
+
+
+def test_iter_semisimple_flattens_to_the_group_enumeration():
+    parts = list(iter_semisimple(30))
+    assert parts[0] == (TRIVIAL, range(1, 31))
+    assert all(h.torus_rank == 0 and zs == range(0, 31 - h.dim) for h, zs in parts[1:])
+    flat = [GroupType(z, h.factors) for h, zs in parts for z in zs]
+    assert flat == list(_recursive_groups(30)) == list(iter_groups(30))
+
+
+@pytest.mark.parametrize("max_dim, n_parts, n_groups", [(60, 1530, 17472), (100, 28092, 414262)])
+def test_iter_semisimple_counts(max_dim, n_parts, n_groups):
+    parts = list(iter_semisimple(max_dim))
+    assert len(parts) == n_parts
+    assert sum(len(zs) for _, zs in parts) == n_groups
 
 
 def test_iter_simple_types_degree_bound():
