@@ -18,6 +18,7 @@ from .subgroups import (
     is_curated,
     is_maximal_step,
     maximal_connected,
+    maximal_steps,
 )
 
 
@@ -65,8 +66,7 @@ def _descend(g: GroupType, pick: Callable[[GroupType], GroupType]) -> Chain:
     nodes, steps = [g], []
     while not g.is_trivial:
         child = pick(g)
-        entries, _ = maximal_connected(g)
-        kind = next((e.kind for e in entries if e.subgroup == child), None)
+        kind = next((k for step, k in maximal_steps(g) if step == child), None)
         assert kind is not None, f"constructed step {g} > {child} not in database"
         nodes.append(child)
         steps.append(kind)

@@ -18,10 +18,11 @@ on dimension, with l(H) = 1 + max l(C) and depth(H) = 1 + min depth(C):
     depth(H x T^z) = 1 + min(depth(H) + z - 1, min depth(C) + z) = depth(H) + z
 
 (and T^z alone gives (z, z)).  So the cached path computes H once and adds
-z back, and every ``maximal_connected`` query it makes is on a semisimple
-type.  ``Oracle(cached=False)`` recurses over the full types instead, as
-the independent reference for that argument; it walks every chain, so it
-only serves small groups, and its recursion depth is at most l(G).
+z back; it reads the steps of semisimple types (``maximal_steps``) and
+builds no ``maximal_connected`` table.  ``Oracle(cached=False)`` recurses
+over the full types and their tables instead, as the independent reference
+for that argument; it walks every chain, so it only serves small groups,
+and its recursion depth is at most l(G).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import IncompleteDatabaseError
 from .groups import GroupType
-from .subgroups import maximal_connected
+from .subgroups import is_curated, maximal_connected, maximal_steps
 
 
 @dataclass
@@ -62,19 +63,19 @@ class Oracle:
     def _fill(self, g: GroupType) -> None:
         """Memoize the semisimple part of ``g`` and every node below it.
 
-        Depth first in entry order, as the recursion would go, but on an
+        Depth first in step order, as the recursion would go, but on an
         explicit stack, so no chain length can exhaust the interpreter's
-        recursion limit.  A node is raised as incomplete under the full
-        type, torus included, by which the walk first reached it.
+        recursion limit.  The curated coverage set is downward closed, so
+        only the queried node can be incomplete; it is raised under its
+        full type, torus included.
         """
         table = self.table
 
         def frame(node: GroupType):
             h, _ = _split(node)
-            entries, flag = maximal_connected(h)
-            if not flag.complete:
+            if not is_curated(h):
                 raise IncompleteDatabaseError(node)
-            children = [(entry.subgroup, *_split(entry.subgroup)) for entry in entries]
+            children = [(child, *_split(child)) for child, _ in maximal_steps(h)]
             return h, children, iter(children)
 
         stack = [frame(g)]

@@ -8,6 +8,11 @@ their fixed subgroup tables.  Everything is produced as canonical group
 types and deduplicated, so e.g. the SO_4 subgroup of SU_4 and the 2x2 tensor
 subgroup collapse into one SU_2 x SU_2 entry.
 
+The product rule ``maximal_steps(g)`` is the database's one interface, read
+lazily by witness chains, ``is_maximal_step`` and the oracle.
+``maximal_connected(g)`` is its deduplicated, sorted, cached table, read by
+``maximals``, curated shortest chains and the uncached oracle reference.
+
 Completeness is only claimed on a curated coverage set (the types whose
 entire downward closure is certified); queries outside it still return
 correct entries, flagged incomplete.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import TrivialGroupError
 from .groups import (
@@ -47,12 +52,6 @@ class EmbeddingKind:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown embedding kind {self.kind!r}")
-
-    def get(self, name: str):
-        for key, value in self.params:
-            if key == name:
-                return value
-        return None
 
     def to_json(self) -> dict:
         params = {
@@ -135,7 +134,7 @@ CURATED_SIMPLE = frozenset({
 
 def is_curated(g: GroupType) -> bool:
     """True when every simple factor lies in the curated coverage set."""
-    return all(s in CURATED_SIMPLE for s in g.factors)
+    return _flag(g).complete
 
 
 # maximal connected subgroups of the exceptional groups, one row per entry
@@ -210,10 +209,13 @@ def _candidates_so(n: int):
         yield simple("SU", 2), EmbeddingKind.irreducible("principal-su2")
 
 
-def _simple_flag(s: SimpleType) -> CompletenessFlag:
-    if s in CURATED_SIMPLE:
-        return CompletenessFlag(True, "curated coverage set")
-    return CompletenessFlag(False, f"outside curated coverage set: {s}")
+def _flag(g: GroupType) -> CompletenessFlag:
+    """Certified complete when every simple factor lies in the curated
+    coverage set; otherwise the reason names each factor outside it."""
+    bad = dict.fromkeys(s for s in g.factors if s not in CURATED_SIMPLE)
+    if bad:
+        return CompletenessFlag(False, "; ".join(f"outside curated coverage set: {s}" for s in bad))
+    return CompletenessFlag(True, "curated coverage set")
 
 
 def _finish(parent_dim: int, candidates) -> tuple[MaximalEntry, ...]:
@@ -245,44 +247,38 @@ def maximal_connected_simple(s: SimpleType) -> tuple[tuple[MaximalEntry, ...], C
             (parse_group(spec), EmbeddingKind.exceptional(f"{s.family}.{i}"))
             for i, spec in enumerate(_EXCEPTIONAL_TABLE[s.family])
         )
-    return _finish(s.dim, candidates), _simple_flag(s)
+    return _finish(s.dim, candidates), _flag(GroupType(0, (s,)))
+
+
+def maximal_steps(g: GroupType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
+    """The product rule: each maximal connected subgroup type of ``g`` with
+    the kind of its step, lazily, in database order and before
+    deduplication.  A bare simple group steps to its table entries; otherwise
+    the torus drops one rank first, then each distinct factor steps to its
+    table entries, and a repeated factor also collapses by the diagonal."""
+    if g.is_trivial:
+        raise TrivialGroupError("the trivial group has no maximal subgroups")
+    if g.is_simple:
+        for entry in maximal_connected_simple(g.simple_factor)[0]:
+            yield entry.subgroup, entry.kind
+        return
+    if g.torus_rank > 0:
+        yield GroupType(g.torus_rank - 1, g.factors), EmbeddingKind.torus_drop()
+    for index, (s, count) in enumerate(g.counts()):
+        entries, _ = maximal_connected_simple(s)
+        for entry in entries:
+            yield g.replace_one(s, entry.subgroup), EmbeddingKind.factor(index, entry.kind)
+        if count >= 2:
+            yield g.drop_one(s), EmbeddingKind.diagonal(s)
 
 
 @lru_cache(maxsize=None)
 def maximal_connected(g: GroupType) -> tuple[tuple[MaximalEntry, ...], CompletenessFlag]:
-    """All known maximal connected subgroups of an arbitrary canonical group.
-
-    Entries are factor-wise steps, diagonal collapses of repeated factors,
-    and a one-dimensional drop of the central torus; bare simple groups
-    return their table entries directly.
-    """
-    if g.is_trivial:
-        raise TrivialGroupError("the trivial group has no maximal subgroups")
+    """The table of ``maximal_steps(g)``: deduplicated (the first kind that
+    reaches a type wins), ordered by size, with the completeness flag."""
     if g.is_simple:
         return maximal_connected_simple(g.simple_factor)
-
-    candidates: list[tuple[GroupType, EmbeddingKind]] = []
-    if g.torus_rank > 0:
-        candidates.append((GroupType(g.torus_rank - 1, g.factors), EmbeddingKind.torus_drop()))
-    for index, (s, count) in enumerate(g.counts()):
-        entries, _ = maximal_connected_simple(s)
-        for entry in entries:
-            candidates.append(
-                (g.replace_one(s, entry.subgroup), EmbeddingKind.factor(index, entry.kind))
-            )
-        if count >= 2:
-            candidates.append((g.drop_one(s), EmbeddingKind.diagonal(s)))
-
-    flags = [_simple_flag(s) for s, _ in g.counts()]
-    bad = [f.reason for f in flags if not f.complete]
-    flag = CompletenessFlag(False, "; ".join(bad)) if bad else CompletenessFlag(True, "curated coverage set")
-    return _finish(g.dim, candidates), flag
-
-
-@lru_cache(maxsize=None)
-def _children(g: GroupType) -> frozenset[GroupType]:
-    entries, _ = maximal_connected(g)
-    return frozenset(e.subgroup for e in entries)
+    return _finish(g.dim, maximal_steps(g)), _flag(g)
 
 
 def is_maximal_step(parent: GroupType, child: GroupType) -> str:
@@ -291,10 +287,9 @@ def is_maximal_step(parent: GroupType, child: GroupType) -> str:
     absent from an incomplete one."""
     if parent.is_trivial:
         return NO  # the trivial group has no proper subgroups
-    if child in _children(parent):
+    if any(step == child for step, _ in maximal_steps(parent)):
         return YES
-    _, flag = maximal_connected(parent)
-    return NO if flag.complete else UNKNOWN
+    return NO if is_curated(parent) else UNKNOWN
 
 
 def min_irrep_dim(s: SimpleType) -> int:

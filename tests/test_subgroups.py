@@ -1,24 +1,31 @@
 import pytest
 
+from liechain.chains import max_chain, verify_chain
 from liechain.errors import TrivialGroupError
 from liechain.formulas import f_classical, length_simple
 from liechain.groups import (
+    TRIVIAL,
     GroupType,
     SimpleType,
+    iter_groups,
     iter_simple_types,
     parse_group,
     simple,
     torus,
 )
+from liechain.oracle import oracle_depth
 from liechain.subgroups import (
     CURATED_SIMPLE,
     NO,
     UNKNOWN,
     YES,
+    EmbeddingKind,
+    _finish,
     is_curated,
     is_maximal_step,
     maximal_connected,
     maximal_connected_simple,
+    maximal_steps,
     min_irrep_dim,
     query_json,
 )
@@ -89,6 +96,28 @@ def test_product_rules():
 def test_trivial_group_error():
     with pytest.raises(TrivialGroupError):
         maximal_connected(parse_group("1"))
+    with pytest.raises(TrivialGroupError):
+        next(maximal_steps(TRIVIAL))
+
+
+def test_table_is_the_finished_step_rule():
+    groups = [g for g in iter_groups(30) if is_curated(g)]
+    groups += [parse_group(spec) for spec in ("SU(7) x SU(2)^2 x T", "E8 x SO(9)", "Sp(8)^2")]
+    groups += [GroupType(0, (s,)) for s in iter_simple_types(max_degree=20)]
+    for g in groups:
+        assert _finish(g.dim, maximal_steps(g)) == maximal_connected(g)[0], g
+
+
+def test_step_readers_build_no_product_table():
+    maximal_connected.cache_clear()
+    assert verify_chain(max_chain(parse_group("SU(60) x Sp(40) x T^2"))).overall == "valid"
+    oracle_depth(parse_group("SO(8) x SU(6) x T"))
+    assert maximal_connected.cache_info().currsize == 0
+    # the torus drop comes first, before any factor's table is built
+    before = maximal_connected_simple.cache_info().currsize
+    g = parse_group("SU(3000) x T")
+    assert next(maximal_steps(g)) == (parse_group("SU(3000)"), EmbeddingKind.torus_drop())
+    assert maximal_connected_simple.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("parent,child,verdict", [
@@ -99,6 +128,8 @@ def test_trivial_group_error():
     ("SO(9)", "SO(8)", YES),
     ("SO(9)", "G2", UNKNOWN),   # absent, and SO(9) is not certified complete
     ("E6", "F4", YES),
+    ("SU(4) x T", "SU(3) x T", NO),   # two steps down, via SU(3) x T^2
+    ("SO(9) x T", "SO(8)", UNKNOWN),  # two steps down, via SO(9)
 ])
 def test_is_maximal_step(parent, child, verdict):
     assert is_maximal_step(parse_group(parent), parse_group(child)) == verdict
