@@ -49,7 +49,6 @@ from .subgroups import (
     is_curated,
     is_maximal_step,
     maximal_connected,
-    maximal_connected_simple,
     min_irrep_dim,
 )
 from .suites import cross_validate

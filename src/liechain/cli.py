@@ -17,7 +17,7 @@ from functools import lru_cache
 from .chains import Chain, max_chain, min_chain, parse_chain_text, verify_chain
 from .errors import IncompleteDatabaseError, LieChainError
 from .formulas import chain_difference, depth, length
-from .groups import GroupType, parse_group, product, torus
+from .groups import MAX_POWER_FACTORS, GroupType, parse_group, product, torus
 from .oracle import oracle_depth, oracle_length
 from .subgroups import CURATED_SIMPLE, maximal_connected, query_json
 from .suites import DEFAULT_MAX_DIM, SUITES, cross_validate, run_suites
@@ -78,6 +78,12 @@ def _print_chain(chain: Chain, as_json: bool) -> None:
 
 def _cmd_chain(args) -> int:
     g = parse_group(args.group)
+    # a chain has one node per step; bound it as the parser bounds S^k
+    steps = length(g)
+    if steps > MAX_POWER_FACTORS:
+        print(f"error: {g} has length {steps}, above the {MAX_POWER_FACTORS} "
+              "steps a chain may take", file=sys.stderr)
+        return 2
     if args.min:
         chain = min_chain(g)
         if chain is None:

@@ -275,7 +275,7 @@ def canonicalize(family: str, degree: int = 0) -> GroupType:
 
 # the most simple factors one "^" power may build, so that a short spec such
 # as SU(2)^99999999999999999999 cannot ask for an unbounded factor tuple
-_MAX_POWER_FACTORS = 10**6
+MAX_POWER_FACTORS = 10**6
 
 _TOKEN = re.compile(r"\s*([A-Za-z]+[0-9]*|[0-9]+|[()^])")
 
@@ -353,9 +353,9 @@ class _Parser:
             count = self.parse_int()
             if count < 1:
                 raise ParseError("exponent must be positive", pos)
-            if len(atom.factors) * count > _MAX_POWER_FACTORS:
+            if len(atom.factors) * count > MAX_POWER_FACTORS:
                 raise ParseError(
-                    f"power has more than {_MAX_POWER_FACTORS} simple factors", pos)
+                    f"power has more than {MAX_POWER_FACTORS} simple factors", pos)
             # a circle atom (SO(2)) may take any exponent, like T^k
             factors = atom.factors * count if atom.factors else ()
             return GroupType(atom.torus_rank * count, factors)

@@ -9,9 +9,13 @@ types and deduplicated, so e.g. the SO_4 subgroup of SU_4 and the 2x2 tensor
 subgroup collapse into one SU_2 x SU_2 entry.
 
 The product rule ``maximal_steps(g)`` is the database's one interface, read
-lazily by witness chains, ``is_maximal_step`` and the oracle.
-``maximal_connected(g)`` is its deduplicated, sorted, cached table, read by
-``maximals``, curated shortest chains and the uncached oracle reference.
+lazily by witness chains, ``is_maximal_step`` and the oracle.  Each simple
+type's steps come from its step sequence: generated from the families on
+demand, deduplicated in generation order, and kept as far as generated, so
+a reader that stops at the step it needs generates nothing past it.
+``maximal_connected(g)`` is the deduplicated, sorted, cached table of the
+steps, read by ``maximals``, curated shortest chains and the uncached
+oracle reference.
 
 Completeness is only claimed on a curated coverage set (the types whose
 entire downward closure is certified); queries outside it still return
@@ -20,9 +24,10 @@ correct entries, flagged incomplete.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .errors import TrivialGroupError
 from .groups import (
@@ -220,54 +225,100 @@ def _flag(g: GroupType) -> CompletenessFlag:
 
 def _finish(parent_dim: int, candidates) -> tuple[MaximalEntry, ...]:
     """Deduplicate by subgroup type (first kind wins) and order by size."""
-    seen: dict[GroupType, EmbeddingKind] = {}
+    seen: dict[GroupType, tuple[int, EmbeddingKind]] = {}
     for child, kind in candidates:
-        assert child.dim < parent_dim, f"non-descending entry {child}"
-        seen.setdefault(child, kind)
-    entries = [MaximalEntry(child, kind) for child, kind in seen.items()]
-    entries.sort(key=lambda e: (-e.subgroup.dim, e.subgroup.sort_key))
-    return tuple(entries)
+        dim = child.dim
+        assert dim < parent_dim, f"non-descending entry {child}"
+        seen.setdefault(child, (dim, kind))
+    order = sorted(seen.items(), key=lambda item: (-item[1][0], item[0].sort_key))
+    return tuple(MaximalEntry(child, kind) for child, (_, kind) in order)
+
+
+def _candidates(s: SimpleType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
+    """The maximal subgroups of the simple group ``s`` with their kinds, as
+    the families generate them, duplicates included."""
+    if s.family == "SU":
+        return _candidates_su(s.degree)
+    if s.family == "Sp":
+        return _candidates_sp(s.degree)
+    if s.family == "SO":
+        return _candidates_so(s.degree)
+    return (
+        (parse_group(spec), EmbeddingKind.exceptional(f"{s.family}.{i}"))
+        for i, spec in enumerate(_EXCEPTIONAL_TABLE[s.family])
+    )
+
+
+def _distinct(s: SimpleType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
+    """``_candidates(s)`` deduplicated in generation order (the first kind
+    that reaches a type wins), each checked to descend."""
+    dim, seen = s.dim, set()
+    for child, kind in _candidates(s):
+        assert child.dim < dim, f"non-descending entry {child}"
+        size = len(seen)
+        seen.add(child)  # one hash per candidate: the set grows on a new type
+        if len(seen) > size:
+            yield child, kind
+
+
+# one thread at a time extends a step sequence, so readers in several
+# threads see one order and never resume a generator that is running
+_EXTENDING = threading.Lock()
+
+
+class _StepSequence:
+    """The steps of one simple type: ``_distinct`` generated on demand and
+    kept as far as generated."""
+
+    __slots__ = ("steps", "rest")
+
+    def __init__(self, s: SimpleType):
+        self.steps: list[tuple[GroupType, EmbeddingKind]] = []
+        self.rest: Optional[Iterator[tuple[GroupType, EmbeddingKind]]] = _distinct(s)
+
+    def __iter__(self) -> Iterator[tuple[GroupType, EmbeddingKind]]:
+        # once every step is kept, a reader walks the list itself
+        return iter(self.steps) if self.rest is None else self._extending()
+
+    def _extending(self) -> Iterator[tuple[GroupType, EmbeddingKind]]:
+        """The kept steps, then each further one generated and kept as it
+        is asked for."""
+        steps, i = self.steps, 0
+        while True:
+            if i == len(steps):
+                with _EXTENDING:
+                    if i == len(steps):
+                        step = None if self.rest is None else next(self.rest, None)
+                        if step is None:
+                            self.rest = None
+                            return
+                        steps.append(step)
+            yield steps[i]
+            i += 1
 
 
 @lru_cache(maxsize=None)
-def maximal_connected_simple(s: SimpleType) -> tuple[tuple[MaximalEntry, ...], CompletenessFlag]:
-    """All known maximal connected subgroups of the simple group ``s``.
-
-    The returned list is always a subset of the truth; the flag tells whether
-    it is certified exhaustive.
-    """
-    if s.family == "SU":
-        candidates = _candidates_su(s.degree)
-    elif s.family == "Sp":
-        candidates = _candidates_sp(s.degree)
-    elif s.family == "SO":
-        candidates = _candidates_so(s.degree)
-    else:
-        candidates = (
-            (parse_group(spec), EmbeddingKind.exceptional(f"{s.family}.{i}"))
-            for i, spec in enumerate(_EXCEPTIONAL_TABLE[s.family])
-        )
-    return _finish(s.dim, candidates), _flag(GroupType(0, (s,)))
+def _step_sequence(s: SimpleType) -> _StepSequence:
+    return _StepSequence(s)
 
 
 def maximal_steps(g: GroupType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
     """The product rule: each maximal connected subgroup type of ``g`` with
-    the kind of its step, lazily, in database order and before
-    deduplication.  A bare simple group steps to its table entries; otherwise
-    the torus drops one rank first, then each distinct factor steps to its
-    table entries, and a repeated factor also collapses by the diagonal."""
+    the kind of its step, lazily.  A bare simple group steps along its step
+    sequence; otherwise the torus drops one rank first, then each distinct
+    factor steps along its step sequence, and a repeated factor also
+    collapses by the diagonal.  Steps of different factors are not
+    deduplicated against each other; ``maximal_connected`` does that."""
     if g.is_trivial:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
     if g.is_simple:
-        for entry in maximal_connected_simple(g.simple_factor)[0]:
-            yield entry.subgroup, entry.kind
+        yield from _step_sequence(g.simple_factor)
         return
     if g.torus_rank > 0:
         yield GroupType(g.torus_rank - 1, g.factors), EmbeddingKind.torus_drop()
     for index, (s, count) in enumerate(g.counts()):
-        entries, _ = maximal_connected_simple(s)
-        for entry in entries:
-            yield g.replace_one(s, entry.subgroup), EmbeddingKind.factor(index, entry.kind)
+        for child, kind in _step_sequence(s):
+            yield g.replace_one(s, child), EmbeddingKind.factor(index, kind)
         if count >= 2:
             yield g.drop_one(s), EmbeddingKind.diagonal(s)
 
@@ -275,9 +326,9 @@ def maximal_steps(g: GroupType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
 @lru_cache(maxsize=None)
 def maximal_connected(g: GroupType) -> tuple[tuple[MaximalEntry, ...], CompletenessFlag]:
     """The table of ``maximal_steps(g)``: deduplicated (the first kind that
-    reaches a type wins), ordered by size, with the completeness flag."""
-    if g.is_simple:
-        return maximal_connected_simple(g.simple_factor)
+    reaches a type wins), ordered by size, with the completeness flag.  The
+    returned list is always a subset of the truth; the flag tells whether
+    it is certified exhaustive."""
     return _finish(g.dim, maximal_steps(g)), _flag(g)
 
 

@@ -21,7 +21,7 @@ from liechain.groups import (
     parse_group,
     simple,
 )
-from liechain.subgroups import maximal_connected_simple
+from liechain.subgroups import maximal_connected
 
 
 def _specs(chain):
@@ -128,7 +128,7 @@ def test_chain_output_matches_pinned_digest():
 def test_simple_steps_are_database_entries():
     # iter_simple_types passes the five exceptional types at any degree bound
     for s in iter_simple_types(max_degree=60):
-        entries, _ = maximal_connected_simple(s)
+        entries, _ = maximal_connected(GroupType(0, (s,)))
         children = {e.subgroup for e in entries}
         assert max_step_simple(s) in children, s
         assert min_step_simple(s) in children, s

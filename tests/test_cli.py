@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,17 @@ def test_power_over_the_factor_cap_is_usage_error(capsys):
     code, out, err = run(capsys, "len", "SU(2)^99999999999999999999")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["--max", "--min"])
+def test_chain_over_the_length_cap_is_refused_at_once(capsys, mode):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "chain", mode, "T^100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "chain", "--max", "SU(2000)")
+    assert code == 0 and len(out.splitlines()) == 3999
 
 
 def test_parse_error_exit_2(capsys):

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import pytest
 
-from liechain.chains import max_chain, verify_chain
+from liechain import subgroups
+from liechain.chains import max_chain, min_chain, verify_chain
 from liechain.errors import TrivialGroupError
 from liechain.formulas import f_classical, length_simple
 from liechain.groups import (
@@ -20,11 +24,12 @@ from liechain.subgroups import (
     UNKNOWN,
     YES,
     EmbeddingKind,
+    _candidates,
     _finish,
+    _step_sequence,
     is_curated,
     is_maximal_step,
     maximal_connected,
-    maximal_connected_simple,
     maximal_steps,
     min_irrep_dim,
     query_json,
@@ -36,19 +41,19 @@ def _types(entries):
 
 
 def test_g2_row():
-    entries, flag = maximal_connected_simple(SimpleType("G2"))
+    entries, flag = maximal_connected(simple("G2"))
     assert _types(entries) == {"SU(3)", "SU(2)^2", "SU(2)"}
     assert flag.complete
 
 
 def test_su2():
-    entries, flag = maximal_connected_simple(SimpleType("SU", 2))
+    entries, flag = maximal_connected(simple("SU", 2))
     assert _types(entries) == {"T"}
     assert flag.complete
 
 
 def test_su4_with_coincidence_dedup():
-    entries, flag = maximal_connected_simple(SimpleType("SU", 4))
+    entries, flag = maximal_connected(simple("SU", 4))
     assert _types(entries) == {"SU(3) x T", "SU(2)^2 x T", "Sp(4)", "SU(2)^2"}
     assert flag.complete
     # the 2x2 tensor square collapses onto the orthogonal subgroup: one entry
@@ -56,24 +61,24 @@ def test_su4_with_coincidence_dedup():
 
 
 def test_so7():
-    entries, flag = maximal_connected_simple(SimpleType("SO", 7))
+    entries, flag = maximal_connected(simple("SO", 7))
     assert _types(entries) == {"SU(4)", "Sp(4) x T", "SU(2)^3", "G2"}
     assert flag.complete
 
 
 def test_so8_has_adjoint_su3():
-    entries, flag = maximal_connected_simple(SimpleType("SO", 8))
+    entries, flag = maximal_connected(simple("SO", 8))
     assert _types(entries) == {"SO(7)", "SU(4) x T", "SU(2) x Sp(4)", "SU(2)^4", "SU(3)"}
     assert flag.complete
 
 
 def test_sp6():
-    entries, _ = maximal_connected_simple(SimpleType("Sp", 6))
+    entries, _ = maximal_connected(simple("Sp", 6))
     assert _types(entries) == {"SU(2) x Sp(4)", "SU(3) x T", "SU(2)^2", "SU(2)"}
 
 
 def test_non_curated_flag():
-    _, flag = maximal_connected_simple(SimpleType("SO", 9))
+    _, flag = maximal_connected(simple("SO", 9))
     assert not flag.complete
     assert "SO(9)" in flag.reason
 
@@ -100,12 +105,115 @@ def test_trivial_group_error():
         next(maximal_steps(TRIVIAL))
 
 
+def _first_kinds(s):
+    """The raw candidates of ``s`` deduplicated, the first kind winning."""
+    first = {}
+    for child, kind in _candidates(s):
+        first.setdefault(child, kind)
+    return list(first.items())
+
+
+def _first_raw_kind(g, child):
+    """The kind the table of ``g`` gives ``child``: that of the first step
+    reaching it when the product rule runs over the raw candidates, before
+    any deduplication."""
+    def steps():
+        if g.is_simple:
+            yield from _candidates(g.simple_factor)
+            return
+        if g.torus_rank:
+            yield GroupType(g.torus_rank - 1, g.factors), EmbeddingKind.torus_drop()
+        for index, (s, count) in enumerate(g.counts()):
+            for sub, kind in _candidates(s):
+                yield g.replace_one(s, sub), EmbeddingKind.factor(index, kind)
+            if count >= 2:
+                yield g.drop_one(s), EmbeddingKind.diagonal(s)
+    return next(kind for step, kind in steps() if step == child)
+
+
 def test_table_is_the_finished_step_rule():
     groups = [g for g in iter_groups(30) if is_curated(g)]
     groups += [parse_group(spec) for spec in ("SU(7) x SU(2)^2 x T", "E8 x SO(9)", "Sp(8)^2")]
-    groups += [GroupType(0, (s,)) for s in iter_simple_types(max_degree=20)]
     for g in groups:
         assert _finish(g.dim, maximal_steps(g)) == maximal_connected(g)[0], g
+    # highly composite degrees give the tensor candidates many divisor pairs
+    simples = [GroupType(0, (s,)) for s in iter_simple_types(max_degree=60)]
+    simples += [parse_group(spec) for spec in ("SU(360)", "Sp(720)", "SO(720)")]
+    _step_sequence.cache_clear()
+    for g in simples:
+        # one reader stops after a step while another generates the rest
+        reader, other = maximal_steps(g), maximal_steps(g)
+        head = next(reader)
+        assert list(other) == [head, *reader] == _first_kinds(g.simple_factor), g
+        assert _finish(g.dim, maximal_steps(g)) == maximal_connected(g)[0], g
+
+
+def test_threads_reading_one_step_sequence_see_one_order():
+    g = parse_group("SU(720)")
+    expected = _first_kinds(g.simple_factor)
+    _step_sequence.cache_clear()
+    results = []
+
+    def read():
+        results.append(list(maximal_steps(g)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(threads)
+
+
+_LONG_CHAINS = ("SU(2000)", "Sp(2000)", "SO(2000)", "SU(300) x SU(301)", "E8 x SO(500)")
+
+
+def test_long_chains_generate_steps_linearly(monkeypatch):
+    generated = []
+    candidates = subgroups._candidates
+
+    def counted(s):
+        for step in candidates(s):
+            generated.append(step)
+            yield step
+
+    monkeypatch.setattr(subgroups, "_candidates", counted)
+    _step_sequence.cache_clear()
+    before = maximal_connected.cache_info().currsize
+    nodes = 0
+    for spec in _LONG_CHAINS:
+        chain = max_chain(parse_group(spec))
+        assert verify_chain(chain).overall == "valid", spec
+        assert maximal_connected.cache_info().currsize == before, spec
+        nodes += len(chain.nodes)
+    # a step sequence generates up to the step a chain takes, never a table
+    assert len(generated) <= nodes, (len(generated), nodes)
+    _step_sequence.cache_clear()
+
+
+def _chain_steps(groups):
+    for g in groups:
+        for chain in (max_chain(g), min_chain(g)):
+            if chain is not None:
+                yield from zip(chain.nodes, chain.nodes[1:], chain.steps)
+
+
+def test_recorded_kinds_are_the_table_kinds():
+    groups = list(iter_groups(30)) + [GroupType(0, (s,)) for s in iter_simple_types(max_degree=60)]
+    for parent, child, kind in _chain_steps(groups):
+        table = {e.subgroup: e.kind for e in maximal_connected(parent)[0]}
+        assert kind == table[child] == _first_raw_kind(parent, child), (parent, child)
+    # tables at every node of the long chains are the quadratic work that
+    # witness chains no longer do (over a minute), so their steps are checked
+    # against the first raw candidate reaching the child: the table's rule
+    for parent, child, kind in _chain_steps(parse_group(s) for s in _LONG_CHAINS):
+        assert kind == _first_raw_kind(parent, child), (parent, child)
 
 
 def test_step_readers_build_no_product_table():
@@ -114,10 +222,10 @@ def test_step_readers_build_no_product_table():
     oracle_depth(parse_group("SO(8) x SU(6) x T"))
     assert maximal_connected.cache_info().currsize == 0
     # the torus drop comes first, before any factor's table is built
-    before = maximal_connected_simple.cache_info().currsize
+    before = _step_sequence.cache_info().currsize
     g = parse_group("SU(3000) x T")
     assert next(maximal_steps(g)) == (parse_group("SU(3000)"), EmbeddingKind.torus_drop())
-    assert maximal_connected_simple.cache_info().currsize == before
+    assert _step_sequence.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("parent,child,verdict", [
