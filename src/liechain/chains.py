@@ -77,18 +77,18 @@ def _descend(g: GroupType, pick: Callable[[GroupType], GroupType]) -> Chain:
 def _max_pick(g: GroupType) -> GroupType:
     """Any torus drops first, then the first factor takes its longest step."""
     if g.torus_rank > 0:
-        return GroupType(g.torus_rank - 1, g.factors)
-    s = g.factors[0]
+        return GroupType(g.torus_rank - 1, g.counts)
+    s = g.counts[0][0]
     return g.replace_one(s, max_step_simple(s))
 
 
 def _min_pick(g: GroupType) -> GroupType:
     """For S^k x T^z: the diagonal collapses S^k to S, then S takes its
     shortest steps with the torus kept, and the torus drops last."""
-    if not g.factors:
+    if not g.counts:
         return GroupType(g.torus_rank - 1)
-    s = g.factors[0]
-    if len(g.factors) > 1:
+    s, k = g.counts[0]
+    if k > 1:
         return g.drop_one(s)
     return g.replace_one(s, min_step_simple(s))
 
@@ -113,7 +113,7 @@ def min_chain(g: GroupType) -> Optional[Chain]:
     depth is known exactly: tori, homogeneous powers of one simple type (plus
     torus), and groups inside the curated coverage set (where the brute force
     pins the depth).  Returns None otherwise."""
-    if len(g.counts()) <= 1:
+    if len(g.counts) <= 1:
         return _descend(g, _min_pick)
     if not is_curated(g):
         return None

@@ -164,7 +164,7 @@ def _cmd_check_theorems(args) -> int:
 
 def _default_oracle_scope() -> list[GroupType]:
     base = [torus(k) for k in range(1, 6)] + [
-        GroupType(0, (s,)) for s in sorted(CURATED_SIMPLE, key=lambda s: s.sort_key)]
+        GroupType(0, ((s, 1),)) for s in sorted(CURATED_SIMPLE, key=lambda s: s.sort_key)]
     scope, seen = [], set()
     for r in (1, 2):
         for combo in itertools.combinations_with_replacement(base, r):

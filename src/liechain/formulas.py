@@ -79,7 +79,7 @@ def length_simple(s: SimpleType) -> int:
 
 def length(g: GroupType) -> int:
     """Longest unrefinable chain length: torus rank plus factor lengths."""
-    return g.torus_rank + sum(length_simple(s) for s in g.factors)
+    return g.torus_rank + sum(length_simple(s) * k for s, k in g.counts)
 
 
 def length_complex_semisimple(g: GroupType) -> int:
@@ -155,8 +155,7 @@ def depth(g: GroupType, refine: bool = False) -> BoundsOrExact:
     """Depth of ``g``: exact for tori and homogeneous S^k (times torus),
     interval bounds otherwise.  With ``refine=True`` the interval is upgraded
     to the exact brute-force value whenever ``g`` lies in the curated set."""
-    z = g.torus_rank
-    counts = g.counts()
+    z, counts = g.torus_rank, g.counts
     if not counts:
         return BoundsOrExact.exact(z)
     if len(counts) == 1:
@@ -178,12 +177,12 @@ def chain_difference(g: GroupType, refine: bool = False) -> BoundsOrExact:
 
 def is_length_eq_depth(g: GroupType) -> bool:
     """True exactly for tori and for SU_2 times a torus."""
-    return not g.factors or g.factors == (SimpleType("SU", 2),)
+    return not g.counts or g.counts == ((SimpleType("SU", 2), 1),)
 
 
 _CD_ONE_FACTOR_SETS = (
-    (SimpleType("SU", 3),),
-    (SimpleType("SU", 2), SimpleType("SU", 2)),
+    ((SimpleType("SU", 3), 1),),
+    ((SimpleType("SU", 2), 2),),
 )
 
 
@@ -197,7 +196,7 @@ def is_cd_one(g: GroupType) -> bool:
     maximal by an irreducible isotropy module (tests/test_cd_certificate.py).
     The ``cd`` suite keeps the published list as its reference data.
     """
-    return tuple(g.factors) in _CD_ONE_FACTOR_SETS
+    return g.counts in _CD_ONE_FACTOR_SETS
 
 
 # -- inequality checks ---------------------------------------------------------
@@ -435,7 +434,6 @@ def check_lcd(g: GroupType) -> list[Check]:
             ok,
         )
     )
-    counts = g.counts()
     if g.is_simple:
         s = g.simple_factor
         slack = _TWICE_SLACK.get(s, 0)
@@ -448,8 +446,8 @@ def check_lcd(g: GroupType) -> list[Check]:
                 l_ss <= 2 * cd_low + slack,
             )
         )
-    if len(counts) == 1 and not g.torus_rank and counts[0][1] >= 2:
-        s, k = counts[0]
+    if len(g.counts) == 1 and not g.torus_rank and g.counts[0][1] >= 2:
+        s, k = g.counts[0]
         if s == SimpleType("SU", 2):
             ok = l_ss == 2 * cd_low + 2
             rhs = f"2*cd+2 = {2 * cd_low + 2} (equality)"

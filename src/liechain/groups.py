@@ -93,12 +93,6 @@ class SimpleType:
     def sort_key(self) -> tuple[int, int]:
         return (_FAMILY_ORDER[self.family], self.degree)
 
-    def __lt__(self, other: "SimpleType") -> bool:
-        return self.sort_key < other.sort_key
-
-    def __le__(self, other: "SimpleType") -> bool:
-        return self.sort_key <= other.sort_key
-
     def __str__(self) -> str:
         if self.family in _EXCEPTIONAL_DIMS:
             return self.family
@@ -111,86 +105,83 @@ class SimpleType:
 @dataclass(frozen=True, slots=True)
 class GroupType:
     """A compact connected Lie group up to isogeny: torus rank z plus the
-    multiset of simple factors, kept sorted so equal groups compare equal."""
+    multiset of simple factors as (factor, multiplicity) pairs, normalised to
+    canonical order so equal groups compare equal (``((s, 1), (s, 2))`` is
+    ``((s, 3),)``)."""
 
     torus_rank: int = 0
-    factors: tuple[SimpleType, ...] = ()
+    counts: tuple[tuple[SimpleType, int], ...] = ()
 
     def __post_init__(self):
         if self.torus_rank < 0:
             raise MalformedTypeError("torus rank must be nonnegative")
-        fs = tuple(sorted(self.factors, key=lambda s: s.sort_key))
-        object.__setattr__(self, "factors", fs)
+        # sort and merge neighbours: a dict would hash a SimpleType per pair
+        pairs = self.counts
+        out: list[tuple[SimpleType, int]] = []
+        for s, k in sorted(pairs, key=lambda p: p[0].sort_key) if len(pairs) > 1 else pairs:
+            if k < 1:
+                raise MalformedTypeError(f"multiplicity of {s} must be positive, got {k}")
+            if out and out[-1][0] == s:
+                out[-1] = (s, out[-1][1] + k)
+            else:
+                out.append((s, k))
+        object.__setattr__(self, "counts", tuple(out))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_trivial(self) -> bool:
-        return self.torus_rank == 0 and not self.factors
+        return self.torus_rank == 0 and not self.counts
 
     @property
     def is_torus(self) -> bool:
-        return not self.factors
+        return not self.counts
 
     @property
     def is_simple(self) -> bool:
-        return self.torus_rank == 0 and len(self.factors) == 1
+        return self.torus_rank == 0 and len(self.counts) == 1 and self.counts[0][1] == 1
 
     @property
     def simple_factor(self) -> SimpleType:
         if not self.is_simple:
             raise MalformedTypeError(f"{self} is not simple")
-        return self.factors[0]
+        return self.counts[0][0]
 
     @property
     def semisimple_part(self) -> "GroupType":
         """The commutator subgroup G' (drop the central torus)."""
-        return GroupType(0, self.factors)
+        return GroupType(0, self.counts)
 
     @property
     def dim(self) -> int:
-        return self.torus_rank + sum(s.dim for s in self.factors)
+        return self.torus_rank + sum(s.dim * k for s, k in self.counts)
 
     @property
     def rank(self) -> int:
-        return self.torus_rank + sum(s.rank for s in self.factors)
+        return self.torus_rank + sum(s.rank * k for s, k in self.counts)
 
     @property
     def sort_key(self) -> tuple:
-        return (tuple(s.sort_key for s in self.factors), self.torus_rank)
-
-    def counts(self) -> tuple[tuple[SimpleType, int], ...]:
-        """Distinct factors with multiplicities, in canonical order."""
-        out: list[tuple[SimpleType, int]] = []
-        for s in self.factors:
-            if out and out[-1][0] == s:
-                out[-1] = (s, out[-1][1] + 1)
-            else:
-                out.append((s, 1))
-        return tuple(out)
+        """Per-copy factor keys, then the torus rank: the order of tables."""
+        return (tuple(key for s, k in self.counts for key in (s.sort_key,) * k),
+                self.torus_rank)
 
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other: "GroupType") -> "GroupType":
-        return GroupType(self.torus_rank + other.torus_rank, self.factors + other.factors)
+        return GroupType(self.torus_rank + other.torus_rank, self.counts + other.counts)
 
     def with_torus(self, extra: int) -> "GroupType":
-        return GroupType(self.torus_rank + extra, self.factors)
+        return GroupType(self.torus_rank + extra, self.counts)
 
     def drop_one(self, s: SimpleType) -> "GroupType":
         """Remove one copy of factor ``s``."""
-        fs = list(self.factors)
-        fs.remove(s)
-        return GroupType(self.torus_rank, tuple(fs))
+        return self.replace_one(s, TRIVIAL)
 
     def replace_one(self, s: SimpleType, replacement: "GroupType") -> "GroupType":
         """Replace one copy of factor ``s`` by the factors of ``replacement``."""
-        fs = list(self.factors)
-        fs.remove(s)
-        return GroupType(
-            self.torus_rank + replacement.torus_rank,
-            tuple(fs) + replacement.factors,
-        )
+        rest = tuple((t, k - (t == s)) for t, k in self.counts if k > 1 or t != s)
+        return GroupType(self.torus_rank + replacement.torus_rank, rest + replacement.counts)
 
     # -- rendering ---------------------------------------------------------
 
@@ -198,7 +189,7 @@ class GroupType:
         if self.is_trivial:
             return "1"
         parts = []
-        for s, k in self.counts():
+        for s, k in self.counts:
             parts.append(str(s) if k == 1 else f"{s}^{k}")
         if self.torus_rank == 1:
             parts.append("T")
@@ -219,7 +210,7 @@ def torus(k: int) -> GroupType:
 
 def simple(family: str, degree: int = 0) -> GroupType:
     """The group with a single canonical simple factor."""
-    return GroupType(0, (SimpleType(family, degree),))
+    return GroupType(0, ((SimpleType(family, degree), 1),))
 
 
 def product(groups: Iterable[GroupType]) -> GroupType:
@@ -267,14 +258,15 @@ def canonicalize(family: str, degree: int = 0) -> GroupType:
     key = (family, degree)
     if key in _COINCIDENCES:
         z, raw = _COINCIDENCES[key]
-        return GroupType(z, tuple(SimpleType(f, d) for f, d in raw))
+        return GroupType(z, tuple((SimpleType(f, d), 1) for f, d in raw))
     return simple(family, degree)
 
 
 # -- parsing ----------------------------------------------------------------
 
-# the most simple factors one "^" power may build, so that a short spec such
-# as SU(2)^99999999999999999999 cannot ask for an unbounded factor tuple
+# the most simple factors one "^" power may build: parsing a power costs O(1)
+# in its exponent, but witness chains and the oracle walk a node per copy and
+# ``sort_key`` expands every copy, so SU(2)^99999999999999999999 is refused
 MAX_POWER_FACTORS = 10**6
 
 _TOKEN = re.compile(r"\s*([A-Za-z]+[0-9]*|[0-9]+|[()^])")
@@ -353,12 +345,11 @@ class _Parser:
             count = self.parse_int()
             if count < 1:
                 raise ParseError("exponent must be positive", pos)
-            if len(atom.factors) * count > MAX_POWER_FACTORS:
+            if sum(k for _, k in atom.counts) * count > MAX_POWER_FACTORS:
                 raise ParseError(
                     f"power has more than {MAX_POWER_FACTORS} simple factors", pos)
-            # a circle atom (SO(2)) may take any exponent, like T^k
-            factors = atom.factors * count if atom.factors else ()
-            return GroupType(atom.torus_rank * count, factors)
+            return GroupType(atom.torus_rank * count,
+                             tuple((s, k * count) for s, k in atom.counts))
         return atom
 
     def parse_atom(self) -> tuple[GroupType, bool]:
@@ -431,17 +422,19 @@ def iter_semisimple(max_dim: int) -> Iterator[tuple[GroupType, range]]:
 
     Deterministic order: factor multisets in canonical order.
     """
-    simples = sorted(iter_simple_types(max_dim=max_dim), key=lambda s: s.sort_key)
+    simples = list(iter_simple_types(max_dim=max_dim))
 
-    def extend(prefix: tuple[SimpleType, ...], budget: int, start: int):
-        yield prefix, budget
+    def extend(counts: tuple[tuple[SimpleType, int], ...], budget: int, start: int):
+        yield counts, budget
         for i in range(start, len(simples)):
             s = simples[i]
             if s.dim <= budget:
-                yield from extend(prefix + (s,), budget - s.dim, i)
+                same = counts and i == start  # one more copy of the last factor
+                more = counts[:-1] + ((s, counts[-1][1] + 1),) if same else counts + ((s, 1),)
+                yield from extend(more, budget - s.dim, i)
 
-    for factors, budget in extend((), max_dim, 0):
-        yield GroupType(0, factors), range(0 if factors else 1, budget + 1)
+    for counts, budget in extend((), max_dim, 0):
+        yield GroupType(0, counts), range(0 if counts else 1, budget + 1)
 
 
 def iter_groups(max_dim: int) -> Iterator[GroupType]:
@@ -452,4 +445,4 @@ def iter_groups(max_dim: int) -> Iterator[GroupType]:
     """
     for h, zs in iter_semisimple(max_dim):
         for z in zs:
-            yield GroupType(z, h.factors)
+            yield GroupType(z, h.counts)

@@ -13,9 +13,8 @@ lazily by witness chains, ``is_maximal_step`` and the oracle.  Each simple
 type's steps come from its step sequence: generated from the families on
 demand, deduplicated in generation order, and kept as far as generated, so
 a reader that stops at the step it needs generates nothing past it.
-``maximal_connected(g)`` is the deduplicated, sorted, cached table of the
-steps, read by ``maximals``, curated shortest chains and the uncached
-oracle reference.
+``maximal_connected(g)`` is the sorted, cached table of the steps, read by
+``maximals``, curated shortest chains and the uncached oracle reference.
 
 Completeness is only claimed on a curated coverage set (the types whose
 entire downward closure is certified); queries outside it still return
@@ -217,21 +216,27 @@ def _candidates_so(n: int):
 def _flag(g: GroupType) -> CompletenessFlag:
     """Certified complete when every simple factor lies in the curated
     coverage set; otherwise the reason names each factor outside it."""
-    bad = dict.fromkeys(s for s in g.factors if s not in CURATED_SIMPLE)
+    bad = [s for s, _ in g.counts if s not in CURATED_SIMPLE]
     if bad:
         return CompletenessFlag(False, "; ".join(f"outside curated coverage set: {s}" for s in bad))
     return CompletenessFlag(True, "curated coverage set")
 
 
-def _finish(parent_dim: int, candidates) -> tuple[MaximalEntry, ...]:
-    """Deduplicate by subgroup type (first kind wins) and order by size."""
-    seen: dict[GroupType, tuple[int, EmbeddingKind]] = {}
-    for child, kind in candidates:
-        dim = child.dim
-        assert dim < parent_dim, f"non-descending entry {child}"
-        seen.setdefault(child, (dim, kind))
-    order = sorted(seen.items(), key=lambda item: (-item[1][0], item[0].sort_key))
-    return tuple(MaximalEntry(child, kind) for child, (_, kind) in order)
+def _finish(parent_dim: int, steps) -> tuple[MaximalEntry, ...]:
+    """The steps of ``maximal_steps``, each checked to descend, ordered by
+    size.  No type occurs twice, so none is dropped.  A simple type's steps
+    come from ``_distinct``.  A step of a factor A removes one copy of A and
+    adds none (a proper subgroup is smaller than A), while any other step
+    keeps every copy of A; two steps of A differ in what replaced it.  A
+    diagonal of A loses all of dim A, more than a step of A.  A torus drop
+    keeps every factor, which every other step changes."""
+
+    def order(entry: MaximalEntry) -> tuple:
+        dim = entry.subgroup.dim
+        assert dim < parent_dim, f"non-descending entry {entry.subgroup}"
+        return -dim, entry.subgroup.sort_key
+
+    return tuple(sorted((MaximalEntry(child, kind) for child, kind in steps), key=order))
 
 
 def _candidates(s: SimpleType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
@@ -307,16 +312,15 @@ def maximal_steps(g: GroupType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
     the kind of its step, lazily.  A bare simple group steps along its step
     sequence; otherwise the torus drops one rank first, then each distinct
     factor steps along its step sequence, and a repeated factor also
-    collapses by the diagonal.  Steps of different factors are not
-    deduplicated against each other; ``maximal_connected`` does that."""
+    collapses by the diagonal.  No type is yielded twice (see ``_finish``)."""
     if g.is_trivial:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
     if g.is_simple:
         yield from _step_sequence(g.simple_factor)
         return
     if g.torus_rank > 0:
-        yield GroupType(g.torus_rank - 1, g.factors), EmbeddingKind.torus_drop()
-    for index, (s, count) in enumerate(g.counts()):
+        yield GroupType(g.torus_rank - 1, g.counts), EmbeddingKind.torus_drop()
+    for index, (s, count) in enumerate(g.counts):
         for child, kind in _step_sequence(s):
             yield g.replace_one(s, child), EmbeddingKind.factor(index, kind)
         if count >= 2:
@@ -325,10 +329,9 @@ def maximal_steps(g: GroupType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
 
 @lru_cache(maxsize=None)
 def maximal_connected(g: GroupType) -> tuple[tuple[MaximalEntry, ...], CompletenessFlag]:
-    """The table of ``maximal_steps(g)``: deduplicated (the first kind that
-    reaches a type wins), ordered by size, with the completeness flag.  The
-    returned list is always a subset of the truth; the flag tells whether
-    it is certified exhaustive."""
+    """The table of ``maximal_steps(g)``, ordered by size, with the
+    completeness flag.  The returned list is always a subset of the truth;
+    the flag tells whether it is certified exhaustive."""
     return _finish(g.dim, maximal_steps(g)), _flag(g)
 
 

@@ -165,7 +165,7 @@ def suite_general(max_dim: int) -> list[Check]:
     def within(g: GroupType) -> bool:
         z = g.torus_rank
         r = g.rank - z
-        t = len(g.factors)
+        t = sum(k for _, k in g.counts)
         total = length(g)
         return z + 2 * r <= total <= z + 3 * r - t if t else total == z
 
@@ -259,10 +259,10 @@ def suite_depbds(max_dim: int) -> list[Check]:
     for s in curated:
         for k in range(1, 5):
             for z in (0, 2):
-                g = GroupType(z, (s,) * k)
+                g = GroupType(z, ((s, k),))
                 if oracle_depth(g) != z + depth_simple(s) + k - 1:
                     homog_bad.append(str(g))
-    pairs = [GroupType(0, pair) for pair in itertools.combinations(curated, 2)]
+    pairs = [GroupType(0, ((a, 1), (b, 1))) for a, b in itertools.combinations(curated, 2)]
     pair_bad = [str(g) for g in pairs if oracle_depth(g) not in depth(g)]
     return [
         _verdict("homogeneous power depth z + depth(S) + k - 1",
@@ -284,14 +284,14 @@ def suite_ld(max_dim: int) -> list[Check]:
 # SU_3 x SU_2, times any torus; kept verbatim although its third entry has
 # chain difference 2 (see ``is_cd_one``)
 PUBLISHED_CD_ONE = (
-    (SimpleType("SU", 3),),
-    (SimpleType("SU", 2), SimpleType("SU", 2)),
-    (SimpleType("SU", 2), SimpleType("SU", 3)),
+    ((SimpleType("SU", 3), 1),),
+    ((SimpleType("SU", 2), 2),),
+    ((SimpleType("SU", 2), 1), (SimpleType("SU", 3), 1)),
 )
 
 
 def is_published_cd_one(g: GroupType) -> bool:
-    return tuple(g.factors) in PUBLISHED_CD_ONE
+    return g.counts in PUBLISHED_CD_ONE
 
 
 def suite_cd(max_dim: int) -> list[Check]:
@@ -308,18 +308,17 @@ def suite_lcd(max_dim: int) -> list[Check]:
     """Semisimple length against the chain difference, over the enumeration,
     with equality spot-checked at SU(2)^k."""
     out = [_sweep("chain-difference length bounds over the enumeration", max_dim, check_lcd)]
-    powers = {k: GroupType(0, (SimpleType("SU", 2),) * k) for k in range(1, 6)}
+    powers = {k: GroupType(0, ((SimpleType("SU", 2), k),)) for k in range(1, 6)}
     eq_bad = [k for k, g in powers.items()
               if length(g) != 2 * chain_difference(g).exact_value + 2]
     out.append(_verdict("equality l = 2 cd + 2 at every power of SU(2)",
                         {"k": "1..5"}, "mismatches", eq_bad, None))
 
     def superadditive(g: GroupType) -> bool:
-        counts = g.counts()
-        if len(counts) < 2:
+        if len(g.counts) < 2:
             return True
-        block_sum = sum(chain_difference(GroupType(0, (s,) * k)).exact_value
-                        for s, k in counts)
+        block_sum = sum(chain_difference(GroupType(0, ((s, k),))).exact_value
+                        for s, k in g.counts)
         return chain_difference(g).lower >= block_sum
 
     superadd_bad = [str(g) for _, groups in _by_part(min(max_dim, 40), superadditive)

@@ -84,7 +84,7 @@ def test_criterion_2_classical_lengths_and_witnesses():
 
 def test_criterion_3_oracle_equivalence_on_curated_products():
     base = [torus(k) for k in range(1, 6)] + [
-        GroupType(0, (s,)) for s in sorted(CURATED_SIMPLE, key=lambda s: s.sort_key)]
+        GroupType(0, ((s, 1),)) for s in sorted(CURATED_SIMPLE, key=lambda s: s.sort_key)]
     start = time.perf_counter()
     scope, seen = [], set()
     for r in (1, 2, 3):

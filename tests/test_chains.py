@@ -114,7 +114,7 @@ CHAINS_DIGEST = "6bf78b7218585e8d40449eca46142785fc603640ba4fc3a740e774c1894bf4f
 
 def test_chain_output_matches_pinned_digest():
     groups = list(iter_groups(30))
-    groups += [GroupType(0, (s,)) for s in iter_simple_types(max_degree=60)]
+    groups += [GroupType(0, ((s, 1),)) for s in iter_simple_types(max_degree=60)]
     digest = hashlib.sha256()
     for g in groups:
         shortest = min_chain(g)
@@ -128,7 +128,7 @@ def test_chain_output_matches_pinned_digest():
 def test_simple_steps_are_database_entries():
     # iter_simple_types passes the five exceptional types at any degree bound
     for s in iter_simple_types(max_degree=60):
-        entries, _ = maximal_connected(GroupType(0, (s,)))
+        entries, _ = maximal_connected(GroupType(0, ((s, 1),)))
         children = {e.subgroup for e in entries}
         assert max_step_simple(s) in children, s
         assert min_step_simple(s) in children, s
@@ -194,7 +194,7 @@ def bounded_groups(draw):
     while sum(s.degree for s in factors) > 40:
         factors.pop()
     z = draw(st.integers(min_value=0, max_value=3))
-    g = GroupType(z, tuple(factors))
+    g = GroupType(z, tuple((s, 1) for s in factors))
     return g if not g.is_trivial else simple("SU", 2)
 
 
@@ -211,7 +211,7 @@ def test_max_chain_property(g):
 @given(st.sampled_from(_POOL), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=2))
 def test_min_chain_property_homogeneous(s, k, z):
-    g = GroupType(z, (s,) * k)
+    g = GroupType(z, ((s, k),))
     chain = min_chain(g)
     assert chain is not None
     assert len(chain) == depth(g).exact_value

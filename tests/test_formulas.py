@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,21 @@ def test_depth_values():
     assert depth(parse_group("SU(4) x Sp(4)"), refine=True) == BoundsOrExact.exact(5)
     # outside the curated set the interval stays an interval
     assert not depth(parse_group("SU(7) x SU(2)"), refine=True).is_exact
+
+
+@pytest.mark.parametrize("spec, l, d", [("SU(2)^1000000", 2_000_000, 1_000_001),
+                                         ("E8^1000000", 20_000_000, 1_000_002)])
+def test_powers_at_the_cap_cost_no_memory_per_copy(spec, l, d):
+    depth(parse_group(spec))  # fill the simple-depth cache outside the trace
+    tracemalloc.start()
+    try:
+        g = parse_group(spec)
+        assert (length(g), depth(g).exact_value, str(g)) == (l, d, spec)
+        assert g.dim == 1_000_000 * g.counts[0][0].dim
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a million-entry factor tuple alone takes 8 MB
 
 
 def test_rank_bounds_on_simple_lengths():

@@ -33,7 +33,7 @@ def test_raw_constructor_rejects_non_canonical():
 def test_canonicalize_coincidences():
     assert canonicalize("SO", 3) == simple("SU", 2)
     assert canonicalize("SO", 2) == torus(1)
-    assert canonicalize("SO", 4) == GroupType(0, (SimpleType("SU", 2),) * 2)
+    assert canonicalize("SO", 4) == GroupType(0, ((SimpleType("SU", 2), 2),))
     assert canonicalize("SO", 5) == simple("Sp", 4)
     assert canonicalize("SO", 6) == simple("SU", 4)
     assert canonicalize("SO", 1) == TRIVIAL
@@ -54,7 +54,7 @@ def test_canonicalize_idempotent():
                 continue
             g = canonicalize(family, n)
             again = GroupType(g.torus_rank, tuple(
-                canonicalize(s.family, s.degree).factors[0] for s in g.factors))
+                (canonicalize(s.family, s.degree).counts[0][0], k) for s, k in g.counts))
             assert again == g
 
 
@@ -90,7 +90,7 @@ def test_semisimple_dim_rank_parity():
 
 def test_parse_examples():
     assert parse_group("SU(5) x Sp(6)") == simple("SU", 5) * simple("Sp", 6)
-    assert parse_group("SO(4)^2 x T^3") == GroupType(3, (SimpleType("SU", 2),) * 4)
+    assert parse_group("SO(4)^2 x T^3") == GroupType(3, ((SimpleType("SU", 2), 4),))
     assert parse_group("1") == TRIVIAL
     assert parse_group("T") == torus(1)
     assert parse_group("su(2) X sp(4)") == simple("SU", 2) * simple("Sp", 4)
@@ -143,7 +143,7 @@ _POOL = [SimpleType("SU", n) for n in range(2, 8)] + [
 def group_types(draw, max_factors=4, max_torus=3):
     factors = draw(st.lists(st.sampled_from(_POOL), max_size=max_factors))
     z = draw(st.integers(min_value=0, max_value=max_torus))
-    return GroupType(z, tuple(factors))
+    return GroupType(z, tuple((s, 1) for s in factors))
 
 
 @given(group_types())
@@ -155,6 +155,110 @@ def test_parse_round_trip(g):
 def test_product_commutes_and_adds_dims(a, b):
     assert a * b == b * a
     assert ((a * b).dim, (a * b).rank) == (a.dim + b.dim, a.rank + b.rank)
+
+
+class _FlatGroup:
+    """The one-entry-per-copy representation that the multiplicity pairs
+    replaced: a sorted factor tuple and its operations, as the reference."""
+
+    def __init__(self, torus_rank, factors):
+        self.torus_rank = torus_rank
+        self.factors = tuple(sorted(factors, key=lambda s: s.sort_key))
+
+    def counts(self):
+        out = []
+        for s in self.factors:
+            if out and out[-1][0] == s:
+                out[-1] = (s, out[-1][1] + 1)
+            else:
+                out.append((s, 1))
+        return tuple(out)
+
+    def __mul__(self, other):
+        return _FlatGroup(self.torus_rank + other.torus_rank, self.factors + other.factors)
+
+    def drop_one(self, s):
+        fs = list(self.factors)
+        fs.remove(s)
+        return _FlatGroup(self.torus_rank, fs)
+
+    def replace_one(self, s, replacement):
+        fs = list(self.factors)
+        fs.remove(s)
+        return _FlatGroup(self.torus_rank + replacement.torus_rank,
+                          tuple(fs) + replacement.factors)
+
+    @property
+    def sort_key(self):
+        return (tuple(s.sort_key for s in self.factors), self.torus_rank)
+
+    @property
+    def dim(self):
+        return self.torus_rank + sum(s.dim for s in self.factors)
+
+    @property
+    def rank(self):
+        return self.torus_rank + sum(s.rank for s in self.factors)
+
+    def __str__(self):
+        if self.torus_rank == 0 and not self.factors:
+            return "1"
+        parts = [str(s) if k == 1 else f"{s}^{k}" for s, k in self.counts()]
+        if self.torus_rank == 1:
+            parts.append("T")
+        elif self.torus_rank > 1:
+            parts.append(f"T^{self.torus_rank}")
+        return " x ".join(parts)
+
+
+def _assert_agrees(g, flat):
+    assert g.torus_rank == flat.torus_rank
+    assert g.counts == flat.counts()
+    assert (g.sort_key, g.dim, g.rank, str(g)) == (flat.sort_key, flat.dim, flat.rank, str(flat))
+
+
+def _assert_operations_agree(a, flat_a, b, flat_b):
+    _assert_agrees(a, flat_a)
+    _assert_agrees(a * b, flat_a * flat_b)
+    assert (a.sort_key < b.sort_key) == (flat_a.sort_key < flat_b.sort_key)
+    for s, _ in a.counts:
+        _assert_agrees(a.drop_one(s), flat_a.drop_one(s))
+        _assert_agrees(a.replace_one(s, b), flat_a.replace_one(s, flat_b))
+
+
+def _flat(g):
+    return _FlatGroup(g.torus_rank, [s for s, k in g.counts for _ in range(k)])
+
+
+def test_multiplicities_below_one_rejected():
+    s = SimpleType("SU", 3)
+    for k in (0, -1):
+        with pytest.raises(MalformedTypeError):
+            GroupType(0, ((s, k),))
+        with pytest.raises(MalformedTypeError):
+            GroupType(1, ((SimpleType("SU", 2), 2), (s, k)))
+
+
+def test_split_and_unsorted_pairs_normalise():
+    s, t = SimpleType("SU", 2), SimpleType("G2")
+    assert GroupType(0, ((s, 1), (s, 2))).counts == ((s, 3),)
+    assert GroupType(2, ((t, 1), (s, 2), (t, 1))) == GroupType(2, ((s, 2), (t, 2)))
+    assert GroupType(2, ((t, 1), (s, 2), (t, 1))).counts == ((s, 2), (t, 2))
+
+
+@given(st.lists(st.sampled_from(_POOL), max_size=4), st.integers(0, 3),
+       st.lists(st.sampled_from(_POOL), max_size=4), st.integers(0, 3))
+def test_pairs_agree_with_the_flat_factor_tuple(fa, za, fb, zb):
+    # one pair per drawn copy, in drawn order: split and unsorted
+    a = GroupType(za, tuple((s, 1) for s in fa))
+    b = GroupType(zb, tuple((s, 1) for s in fb))
+    _assert_operations_agree(a, _FlatGroup(za, fa), b, _FlatGroup(zb, fb))
+
+
+def test_pairs_agree_with_the_flat_factor_tuple_on_the_enumeration():
+    groups = list(iter_groups(30))
+    for a, b in zip(groups, groups[1:] + groups[:1]):
+        _assert_operations_agree(a, _flat(a), b, _flat(b))
 
 
 def test_iter_groups_bounded_and_unique():
@@ -181,14 +285,14 @@ def _recursive_groups(max_dim):
     for factors in extend((), max_dim, 0):
         used = sum(s.dim for s in factors)
         for z in range(0 if factors else 1, max_dim - used + 1):
-            yield GroupType(z, factors)
+            yield GroupType(z, tuple((s, 1) for s in factors))
 
 
 def test_iter_semisimple_flattens_to_the_group_enumeration():
     parts = list(iter_semisimple(30))
     assert parts[0] == (TRIVIAL, range(1, 31))
     assert all(h.torus_rank == 0 and zs == range(0, 31 - h.dim) for h, zs in parts[1:])
-    flat = [GroupType(z, h.factors) for h, zs in parts for z in zs]
+    flat = [GroupType(z, h.counts) for h, zs in parts for z in zs]
     assert flat == list(_recursive_groups(30)) == list(iter_groups(30))
 
 

@@ -83,7 +83,7 @@ def test_depth_floor():
     assert oracle_depth(parse_group("SU(2)")) == 2
     assert oracle_depth(parse_group("SU(2)^2")) == 3
     for s in CURATED_SIMPLE:
-        g = GroupType(0, (s,))
+        g = GroupType(0, ((s, 1),))
         if s != SimpleType("SU", 2):
             assert oracle_depth(g) >= 3
 
@@ -91,7 +91,7 @@ def test_depth_floor():
 def test_formula_depth_brackets_oracle():
     curated = sorted(CURATED_SIMPLE, key=lambda s: s.sort_key)
     for s1, s2 in itertools.combinations(curated, 2):
-        g = GroupType(1, (s1, s2))
+        g = GroupType(1, ((s1, 1), (s2, 1)))
         assert oracle_depth(g) in depth(g)
 
 
@@ -105,7 +105,7 @@ def test_memoization_soundness():
     table = {}
     for _ in range(100):
         factors = tuple(rng.choice(small) for _ in range(rng.randint(0, 3)))
-        g = GroupType(rng.randint(0, 3), factors)
+        g = GroupType(rng.randint(0, 3), tuple((s, 1) for s in factors))
         if g.is_trivial:
             continue
         value = fresh.compute(g)
@@ -156,7 +156,7 @@ def test_oracle_long_chain_under_default_recursion_limit():
 
 
 def test_cross_validate_curated_scope():
-    scope = [GroupType(0, (s,)) for s in sorted(CURATED_SIMPLE, key=lambda s: s.sort_key)]
+    scope = [GroupType(0, ((s, 1),)) for s in sorted(CURATED_SIMPLE, key=lambda s: s.sort_key)]
     scope += [torus(k) for k in range(1, 6)]
     scope += [parse_group("SU(2)^3"), parse_group("SO(8) x G2 x T")]
     records = cross_validate(scope)
@@ -165,9 +165,9 @@ def test_cross_validate_curated_scope():
     assert by_group["G2"]["oracle_l"] == 5
     assert by_group["T^3"]["oracle_l"] == by_group["T^3"]["oracle_depth"] == 3
     for s in sorted(CURATED_SIMPLE, key=lambda t: t.sort_key):
-        record = by_group[str(GroupType(0, (s,)))]
+        record = by_group[str(GroupType(0, ((s, 1),)))]
         assert record["oracle_depth"] == depth_simple(s)
-        assert record["oracle_l"] == length(GroupType(0, (s,)))
+        assert record["oracle_l"] == length(GroupType(0, ((s, 1),)))
 
 
 def test_cross_validate_record_schema():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 import threading
 
@@ -122,8 +124,8 @@ def _first_raw_kind(g, child):
             yield from _candidates(g.simple_factor)
             return
         if g.torus_rank:
-            yield GroupType(g.torus_rank - 1, g.factors), EmbeddingKind.torus_drop()
-        for index, (s, count) in enumerate(g.counts()):
+            yield GroupType(g.torus_rank - 1, g.counts), EmbeddingKind.torus_drop()
+        for index, (s, count) in enumerate(g.counts):
             for sub, kind in _candidates(s):
                 yield g.replace_one(s, sub), EmbeddingKind.factor(index, kind)
             if count >= 2:
@@ -136,8 +138,12 @@ def test_table_is_the_finished_step_rule():
     groups += [parse_group(spec) for spec in ("SU(7) x SU(2)^2 x T", "E8 x SO(9)", "Sp(8)^2")]
     for g in groups:
         assert _finish(g.dim, maximal_steps(g)) == maximal_connected(g)[0], g
+    # _finish drops nothing: the product rule never yields one type twice
+    for g in [*iter_groups(40), *groups]:
+        steps = [step for step, _ in maximal_steps(g)]
+        assert len(set(steps)) == len(steps), g
     # highly composite degrees give the tensor candidates many divisor pairs
-    simples = [GroupType(0, (s,)) for s in iter_simple_types(max_degree=60)]
+    simples = [GroupType(0, ((s, 1),)) for s in iter_simple_types(max_degree=60)]
     simples += [parse_group(spec) for spec in ("SU(360)", "Sp(720)", "SO(720)")]
     _step_sequence.cache_clear()
     for g in simples:
@@ -171,7 +177,8 @@ def test_threads_reading_one_step_sequence_see_one_order():
     assert results == [expected] * len(threads)
 
 
-_LONG_CHAINS = ("SU(2000)", "Sp(2000)", "SO(2000)", "SU(300) x SU(301)", "E8 x SO(500)")
+_LONG_CHAINS = ("SU(2000)", "Sp(2000)", "SO(2000)", "SU(300) x SU(301)", "E8 x SO(500)",
+                "SU(3)^2000", "SU(2)^3000 x T^5")
 
 
 def test_long_chains_generate_steps_linearly(monkeypatch):
@@ -205,7 +212,7 @@ def _chain_steps(groups):
 
 
 def test_recorded_kinds_are_the_table_kinds():
-    groups = list(iter_groups(30)) + [GroupType(0, (s,)) for s in iter_simple_types(max_degree=60)]
+    groups = list(iter_groups(30)) + [GroupType(0, ((s, 1),)) for s in iter_simple_types(max_degree=60)]
     for parent, child, kind in _chain_steps(groups):
         table = {e.subgroup: e.kind for e in maximal_connected(parent)[0]}
         assert kind == table[child] == _first_raw_kind(parent, child), (parent, child)
@@ -318,9 +325,22 @@ def test_query_json_schema():
         assert set(e) == {"subgroup", "kind", "params"}
 
 
+# sha256 of json.dumps(query_json(g)), one line each, over iter_groups(24)
+# and then every simple type of degree <= 60: the entries and their order
+MAXIMALS_DIGEST = "dae7c4ace96f74a6a6fe91f1168b114189d202a9825c45288da41c238c772bcc"
+
+
+def test_maximals_output_matches_pinned_digest():
+    groups = list(iter_groups(24)) + [simple(s.family, s.degree)
+                                      for s in iter_simple_types(max_degree=60)]
+    text = "\n".join(json.dumps(query_json(g)) for g in groups)
+    assert len(groups) == 468
+    assert hashlib.sha256(text.encode()).hexdigest() == MAXIMALS_DIGEST
+
+
 def test_curated_set_is_downward_closed():
     seen = set()
-    frontier = [GroupType(0, (s,)) for s in CURATED_SIMPLE]
+    frontier = [GroupType(0, ((s, 1),)) for s in CURATED_SIMPLE]
     while frontier:
         g = frontier.pop()
         if g in seen or g.is_trivial:
@@ -329,7 +349,7 @@ def test_curated_set_is_downward_closed():
         entries, flag = maximal_connected(g)
         assert flag.complete, g
         for e in entries:
-            for s in e.subgroup.factors:
+            for s, _ in e.subgroup.counts:
                 assert s in CURATED_SIMPLE, (g, e.subgroup)
             if e.subgroup.semisimple_part not in seen:
                 frontier.append(e.subgroup.semisimple_part)

@@ -117,7 +117,7 @@ def _reference_general(max_dim):
         scanned += 1
         z = g.torus_rank
         r = g.rank - z
-        t = len(g.factors)
+        t = sum(k for _, k in g.counts)
         total = length(g)
         if not (z + 2 * r <= total <= z + 3 * r - t if t else total == z):
             worst = str(g)
@@ -130,10 +130,10 @@ def _reference_general(max_dim):
 def _reference_superadditivity(max_dim):
     bad = []
     for g in iter_groups(min(max_dim, 40)):
-        if len(g.counts()) < 2:
+        if len(g.counts) < 2:
             continue
-        block_sum = sum(chain_difference(GroupType(0, (s,) * k)).exact_value
-                        for s, k in g.counts())
+        block_sum = sum(chain_difference(GroupType(0, ((s, k),))).exact_value
+                        for s, k in g.counts)
         if chain_difference(g).lower < block_sum:
             bad.append(str(g))
     return Check("chain difference at least the sum over homogeneous blocks",
@@ -186,15 +186,15 @@ def test_sweep_calls_a_checker_at_most_twice_per_part(monkeypatch):
 
 
 def test_failing_representative_falls_back_to_every_torus_rank(monkeypatch):
-    su3 = (SimpleType("SU", 3),)
+    su3 = ((SimpleType("SU", 3), 1),)
     calls = []
 
     def fails_off_the_semisimple_part(g):
         calls.append(g)
-        return [Check("fake", {}, "", "", not (g.factors == su3 and g.torus_rank))]
+        return [Check("fake", {}, "", "", not (g.counts == su3 and g.torus_rank))]
 
     monkeypatch.setattr(suites, "check_dimlen", fails_off_the_semisimple_part)
     (check,) = suites.suite_dimlen(12)
     # SU(3) has dim 8: the representatives z = 0, 1, then every z in 0..4
     assert check.inputs["failures"] == [f"{GroupType(z, su3)}: fake" for z in range(1, 5)]
-    assert [g.torus_rank for g in calls if g.factors == su3] == [0, 1, 0, 1, 2, 3, 4]
+    assert [g.torus_rank for g in calls if g.counts == su3] == [0, 1, 0, 1, 2, 3, 4]
