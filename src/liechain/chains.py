@@ -77,7 +77,7 @@ def _descend(g: GroupType, pick: Callable[[GroupType], GroupType]) -> Chain:
 def _max_pick(g: GroupType) -> GroupType:
     """Any torus drops first, then the first factor takes its longest step."""
     if g.torus_rank > 0:
-        return GroupType(g.torus_rank - 1, g.counts)
+        return g.with_torus(-1)
     s = g.counts[0][0]
     return g.replace_one(s, max_step_simple(s))
 

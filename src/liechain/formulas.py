@@ -225,95 +225,133 @@ class Check:
         return f"[{tag}] {self.claim}: {self.lhs} vs {self.rhs} {self.inputs}"
 
 
+_SU2 = SimpleType("SU", 2)
+
+
+def _lone_pair(z: int, counts: tuple) -> Optional[tuple[SimpleType, int]]:
+    """The one (factor, multiplicity) pair of S^k, or None for any other
+    group, given its torus rank and pairs."""
+    return counts[0] if not z and len(counts) == 1 else None
+
+
+def dimlen_verdicts(z: int, counts: tuple, l_ss: int, dim_ss: int) -> tuple[bool, ...]:
+    """Whether each check of ``check_dimlen`` passes at G = H x T^z, in its
+    order, from the pairs, length and dimension of H; l(G) and dim G are
+    l(H) + z and dim H + z."""
+    total, dim = l_ss + z, dim_ss + z
+    delta = dim - total
+    out = ((total == dim) == (not counts), delta <= dim_ss <= 3 * delta)
+    lone = _lone_pair(z, counts)
+    if lone is not None and lone[1] == 1:
+        boundary = lone[0] == _SU2
+        out += (3 * total <= 2 * dim and (3 * total == 2 * dim) == boundary,)
+    return out
+
+
 def check_dimlen(g: GroupType) -> list[Check]:
     """dim G - l(G) bounds dim G' on both sides; for simple groups also the
     2/3 ratio bound with equality only at SU_2."""
     total = length(g)
     delta = g.dim - total
     dim_ss = g.semisimple_part.dim
+    z = g.torus_rank
+    ok = dimlen_verdicts(z, g.counts, total - z, dim_ss)
     out = [
         Check(
             "length equals dimension only for tori",
             {"group": str(g)},
             f"l={total}, dim={g.dim}",
             f"torus={g.is_torus}",
-            (total == g.dim) == g.is_torus,
+            ok[0],
         ),
         Check(
             "dimension deficit bounds the semisimple dimension",
             {"group": str(g), "delta": delta},
             f"{delta} <= {dim_ss}",
             f"{dim_ss} <= {3 * delta}",
-            delta <= dim_ss <= 3 * delta,
+            ok[1],
         ),
     ]
     if g.is_simple:
-        s = g.simple_factor
-        boundary = s == SimpleType("SU", 2)
         out.append(
             Check(
                 "simple length at most two thirds of dimension",
                 {"group": str(g)},
                 f"3*l = {3 * total}",
                 f"2*dim = {2 * g.dim}",
-                3 * total <= 2 * g.dim and (3 * total == 2 * g.dim) == boundary,
+                ok[2],
             )
         )
     return out
 
 
-def sqrt_lower_bound(g: GroupType) -> QuadExpr:
-    """The lower-bound expression beta * (sqrt(dim) - alpha)."""
-    return BETA * (QuadExpr.sqrt(g.dim) - ALPHA)
-
-
 # The radical checks below depend only on a few integers of the group, and a
-# sweep over many groups meets each combination many times; each verdict is
-# decided once per distinct input.  Bounded so a long-lived process stays small.
+# sweep over many groups meets each combination many times; each bound and
+# each verdict is built once per distinct input, and a bound is rendered only
+# for a Check.  Bounded so a long-lived process stays small.
 _VERDICT_CACHE_SIZE = 4096
 
-
-@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
-def _sqrt_verdict(total: int, dim: int, xi_is_alpha: bool) -> tuple[str, bool]:
-    """beta*(sqrt(dim) - xi) rendered to 4 places, with xi = alpha or 1, and
-    whether ``total`` reaches it."""
-    bound = BETA * (QuadExpr.sqrt(dim) - (ALPHA if xi_is_alpha else 1))
-    return bound.decimal(4), QuadExpr.rational(total) >= bound
+# the simple families whose square-root bound subtracts alpha instead of 1
+_XI_ALPHA_FAMILIES = ("E6", "E7", "E8")
 
 
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
-def _quad_cd_verdict(cd_low: int, dim_ss: int) -> tuple[str, bool]:
-    """(beta^-1*(2cd+2) + alpha)^2 rendered to 4 places, and whether
-    ``dim_ss`` stays within it."""
+def _sqrt_bound(dim: int, xi_is_alpha: bool) -> QuadExpr:
+    """beta * (sqrt(dim) - xi), with xi = alpha or 1."""
+    return BETA * (QuadExpr.sqrt(dim) - (ALPHA if xi_is_alpha else 1))
+
+
+@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _sqrt_bound_holds(total: int, dim: int, xi_is_alpha: bool) -> bool:
+    return QuadExpr.rational(total) >= _sqrt_bound(dim, xi_is_alpha)
+
+
+@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _quad_cd_bound(cd_low: int) -> QuadExpr:
+    """(beta^-1 * (2cd + 2) + alpha)^2."""
     root = BETA_INV * (2 * cd_low + 2) + ALPHA
-    quad = root * root
-    return quad.decimal(4), QuadExpr.rational(dim_ss) <= quad
+    return root * root
+
+
+@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _quad_cd_holds(cd_low: int, dim_ss: int) -> bool:
+    return QuadExpr.rational(dim_ss) <= _quad_cd_bound(cd_low)
+
+
+def sqrt_verdicts(z: int, counts: tuple, l_ss: int, dim_ss: int) -> tuple[bool, ...]:
+    """Whether each check of ``check_sqrt_lower_bound`` passes at
+    G = H x T^z, in its order, from the pairs, length and dimension of H."""
+    total, dim = l_ss + z, dim_ss + z
+    out = (_sqrt_bound_holds(total, dim, True),)
+    lone = _lone_pair(z, counts)
+    if lone is not None and lone[1] == 1:
+        out += (_sqrt_bound_holds(total, dim, lone[0].family in _XI_ALPHA_FAMILIES),)
+    return out
 
 
 def check_sqrt_lower_bound(g: GroupType) -> list[Check]:
     total = length(g)
-    rendered, ok = _sqrt_verdict(total, g.dim, True)
+    z = g.torus_rank
+    ok = sqrt_verdicts(z, g.counts, total - z, g.dim - z)
     out = [
         Check(
             "length above the square-root dimension bound",
             {"group": str(g), "dim": g.dim},
             f"l = {total}",
-            f"beta*(sqrt(dim)-alpha) = {rendered}",
-            ok,
+            f"beta*(sqrt(dim)-alpha) = {_sqrt_bound(g.dim, True).decimal(4)}",
+            ok[0],
         )
     ]
     if g.is_simple:
-        s = g.simple_factor
-        xi_is_alpha = s.family in ("E6", "E7", "E8")
+        xi_is_alpha = g.simple_factor.family in _XI_ALPHA_FAMILIES
         xi = ALPHA if xi_is_alpha else QuadExpr.rational(1)
-        rendered, ok = _sqrt_verdict(total, g.dim, xi_is_alpha)
         out.append(
             Check(
                 "simple length above the family-specific square-root bound",
                 {"group": str(g), "xi": xi.decimal(4)},
                 f"l = {total}",
-                f"beta*(sqrt(dim)-xi) = {rendered}",
-                ok,
+                f"beta*(sqrt(dim)-xi) = {_sqrt_bound(g.dim, xi_is_alpha).decimal(4)}",
+                ok[1],
             )
         )
     return out
@@ -406,6 +444,23 @@ _TWICE_SLACK = {
 }
 
 
+def lcd_verdicts(z: int, counts: tuple, l_ss: int, dim_ss: int, cd_low: int) -> tuple[bool, ...]:
+    """Whether each check of ``check_lcd`` passes at G = H x T^z, in its
+    order, from the pairs, length and dimension of H and the lower end of
+    the refined cd(G)."""
+    out = (l_ss <= 2 * cd_low + 2, _quad_cd_holds(cd_low, dim_ss))
+    lone = _lone_pair(z, counts)
+    if lone is not None:
+        s, k = lone
+        if k == 1:
+            out += (l_ss <= 2 * cd_low + _TWICE_SLACK.get(s, 0),)
+        elif s == _SU2:
+            out += (l_ss == 2 * cd_low + 2,)
+        else:
+            out += (l_ss <= 2 * cd_low,)
+    return out
+
+
 def check_lcd(g: GroupType) -> list[Check]:
     """Length of G' against the chain difference: l(G') <= 2 cd(G) + 2, the
     induced quadratic dimension bound, and the per-factor refinements.  The
@@ -415,25 +470,24 @@ def check_lcd(g: GroupType) -> list[Check]:
     h = g.semisimple_part
     l_ss = length(h)
     dim_ss = h.dim
+    z = g.torus_rank
+    ok = lcd_verdicts(z, g.counts, l_ss, dim_ss, cd_low)
     out = [
         Check(
             "semisimple length at most twice the chain difference plus two",
             {"group": str(g), "cd": str(cd)},
             f"l(G') = {l_ss}",
             f"2*cd+2 = {2 * cd_low + 2}",
-            l_ss <= 2 * cd_low + 2,
-        )
-    ]
-    rendered, ok = _quad_cd_verdict(cd_low, dim_ss)
-    out.append(
+            ok[0],
+        ),
         Check(
             "semisimple dimension within the quadratic chain-difference bound",
             {"group": str(g), "cd": str(cd)},
             f"dim G' = {dim_ss}",
-            f"(beta^-1*(2cd+2)+alpha)^2 = {rendered}",
-            ok,
-        )
-    )
+            f"(beta^-1*(2cd+2)+alpha)^2 = {_quad_cd_bound(cd_low).decimal(4)}",
+            ok[1],
+        ),
+    ]
     if g.is_simple:
         s = g.simple_factor
         slack = _TWICE_SLACK.get(s, 0)
@@ -443,16 +497,14 @@ def check_lcd(g: GroupType) -> list[Check]:
                 {"group": str(g), "slack": slack},
                 f"l = {l_ss}",
                 f"2*cd+{slack} = {2 * cd_low + slack}",
-                l_ss <= 2 * cd_low + slack,
+                ok[2],
             )
         )
-    if len(g.counts) == 1 and not g.torus_rank and g.counts[0][1] >= 2:
+    if len(g.counts) == 1 and not z and g.counts[0][1] >= 2:
         s, k = g.counts[0]
-        if s == SimpleType("SU", 2):
-            ok = l_ss == 2 * cd_low + 2
+        if s == _SU2:
             rhs = f"2*cd+2 = {2 * cd_low + 2} (equality)"
         else:
-            ok = l_ss <= 2 * cd_low
             rhs = f"2*cd = {2 * cd_low}"
         out.append(
             Check(
@@ -460,7 +512,7 @@ def check_lcd(g: GroupType) -> list[Check]:
                 {"group": str(g), "k": k},
                 f"l = {l_ss}",
                 rhs,
-                ok,
+                ok[2],
             )
         )
     return out

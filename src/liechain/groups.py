@@ -115,16 +115,18 @@ class GroupType:
     def __post_init__(self):
         if self.torus_rank < 0:
             raise MalformedTypeError("torus rank must be nonnegative")
-        # sort and merge neighbours: a dict would hash a SimpleType per pair
+        # sort and merge neighbours (a dict would hash a SimpleType per
+        # pair); a pair that needs no merge is kept, not copied
         pairs = self.counts
         out: list[tuple[SimpleType, int]] = []
-        for s, k in sorted(pairs, key=lambda p: p[0].sort_key) if len(pairs) > 1 else pairs:
+        for pair in sorted(pairs, key=lambda p: p[0].sort_key) if len(pairs) > 1 else pairs:
+            s, k = pair
             if k < 1:
                 raise MalformedTypeError(f"multiplicity of {s} must be positive, got {k}")
             if out and out[-1][0] == s:
                 out[-1] = (s, out[-1][1] + k)
             else:
-                out.append((s, k))
+                out.append(pair)
         object.__setattr__(self, "counts", tuple(out))
 
     # -- structure ---------------------------------------------------------
@@ -150,7 +152,7 @@ class GroupType:
     @property
     def semisimple_part(self) -> "GroupType":
         """The commutator subgroup G' (drop the central torus)."""
-        return GroupType(0, self.counts)
+        return _canonical(0, self.counts)
 
     @property
     def dim(self) -> int:
@@ -172,7 +174,9 @@ class GroupType:
         return GroupType(self.torus_rank + other.torus_rank, self.counts + other.counts)
 
     def with_torus(self, extra: int) -> "GroupType":
-        return GroupType(self.torus_rank + extra, self.counts)
+        """The same factors with ``extra`` more torus rank (fewer when
+        negative)."""
+        return _canonical(self.torus_rank + extra, self.counts)
 
     def drop_one(self, s: SimpleType) -> "GroupType":
         """Remove one copy of factor ``s``."""
@@ -180,7 +184,8 @@ class GroupType:
 
     def replace_one(self, s: SimpleType, replacement: "GroupType") -> "GroupType":
         """Replace one copy of factor ``s`` by the factors of ``replacement``."""
-        rest = tuple((t, k - (t == s)) for t, k in self.counts if k > 1 or t != s)
+        rest = tuple(pair if pair[0] != s else (s, pair[1] - 1)
+                     for pair in self.counts if pair[1] > 1 or pair[0] != s)
         return GroupType(self.torus_rank + replacement.torus_rank, rest + replacement.counts)
 
     # -- rendering ---------------------------------------------------------
@@ -199,6 +204,18 @@ class GroupType:
 
     def __repr__(self) -> str:
         return f"GroupType({str(self)!r})"
+
+
+def _canonical(torus_rank: int, counts: tuple[tuple[SimpleType, int], ...]) -> GroupType:
+    """A GroupType of pairs the caller knows are canonical (the pairs of an
+    existing group, or built in canonical order), without the sort and
+    merge of ``__post_init__``."""
+    if torus_rank < 0:
+        raise MalformedTypeError("torus rank must be nonnegative")
+    g = object.__new__(GroupType)
+    object.__setattr__(g, "torus_rank", torus_rank)
+    object.__setattr__(g, "counts", counts)
+    return g
 
 
 TRIVIAL = GroupType()
@@ -434,7 +451,7 @@ def iter_semisimple(max_dim: int) -> Iterator[tuple[GroupType, range]]:
                 yield from extend(more, budget - s.dim, i)
 
     for counts, budget in extend((), max_dim, 0):
-        yield GroupType(0, counts), range(0 if counts else 1, budget + 1)
+        yield _canonical(0, counts), range(0 if counts else 1, budget + 1)
 
 
 def iter_groups(max_dim: int) -> Iterator[GroupType]:
@@ -445,4 +462,4 @@ def iter_groups(max_dim: int) -> Iterator[GroupType]:
     """
     for h, zs in iter_semisimple(max_dim):
         for z in zs:
-            yield GroupType(z, h.counts)
+            yield h.with_torus(z)

@@ -116,13 +116,6 @@ class QuadExpr:
     def is_rational(self) -> bool:
         return all(m == 1 for m, _ in self.terms)
 
-    def as_fraction(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.terms[0][1]
-
     def bounds(self, prec_bits: int) -> tuple[Fraction, Fraction]:
         """Rational lower/upper bounds tight to about 2**-prec_bits per term."""
         lo = hi = Fraction(0)

@@ -319,7 +319,7 @@ def maximal_steps(g: GroupType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
         yield from _step_sequence(g.simple_factor)
         return
     if g.torus_rank > 0:
-        yield GroupType(g.torus_rank - 1, g.counts), EmbeddingKind.torus_drop()
+        yield g.with_torus(-1), EmbeddingKind.torus_drop()
     for index, (s, count) in enumerate(g.counts):
         for child, kind in _step_sequence(s):
             yield g.replace_one(s, child), EmbeddingKind.factor(index, kind)

@@ -5,19 +5,28 @@ bounded search space (total dimension for group enumerations, degree for
 per-family scans) and returns a list of Check records.  ``cross_validate``
 compares the closed forms with the brute force group by group.
 
-The sweeps over the enumeration go one semisimple part H at a time
-(``iter_semisimple``).  A per-group check is evaluated only at the
-representatives H (z = 0) and H x T (z = 1), or at T for the tori; when
-they all pass, every torus rank of the range passes.  When one fails or is
-unresolved, every H x T^z of the range is evaluated in order, so failures
-are listed exactly as a group-by-group sweep lists them.
+The sweeps over the enumeration read one record per semisimple part H
+(``Part``): its torus ranks zs, D = dim H, L = l(H), rank H, the number t
+of simple factors counted with multiplicity, the closed-form depth interval
+of H, and whether H is curated.  The records of one bound are built once
+per process (``_parts``, two bounds kept) and shared by every sweep.  A
+sweep decides each part from its record in integers, with the same
+verdict functions the ``formulas.check_*`` checks take ``passed`` from
+(cached radical verdicts for ``sqrt`` and ``lcd``); the oracle is asked
+only where a check refines, at curated parts with two or more distinct
+factors.  A part is decided at the representatives H (z = 0) and H x T
+(z = 1), or at T for the tori; when they all pass, every torus rank of the
+range passes, and no Check is built.  When one fails or is unresolved,
+every H x T^z of the range goes through the per-group check in order, so
+failures are rendered and listed exactly as a group-by-group sweep lists
+them.
 
-Why a pass at z = 1 is a pass at every z >= 1.  Let G = H x T^z, L = l(H)
-and D = dim H.  Then l(G) = L + z, dim G = D + z, rank G = rank H + z and
-G' = H.  The closed-form depth of G is that of H plus z, exact or interval
-alike; with ``refine=True`` the brute-force depth is too, by the oracle's
-torus shift, and ``is_curated`` reads only the factors.  So cd(G x T) =
-cd(G), refined or not.  Per suite:
+Why a pass at z = 1 is a pass at every z >= 1.  Let G = H x T^z.  Then
+l(G) = L + z, dim G = D + z, rank G = rank H + z and G' = H.  The
+closed-form depth of G is that of H plus z, exact or interval alike; with
+``refine=True`` the brute-force depth is too, by the oracle's torus shift,
+and ``is_curated`` reads only the factors.  So cd(G x T) = cd(G), refined
+or not.  Per suite:
 
 - general: r = rank - z and t are fixed, and z + 2r <= L + z <= z + 3r - t
   is 2r <= L <= 3r - t (a torus has L + z = z).
@@ -39,7 +48,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .formulas import (
     Check,
@@ -50,14 +60,17 @@ from .formulas import (
     complex_depth_simple,
     depth,
     depth_simple,
+    dimlen_verdicts,
     elem_inequalities,
     f_classical,
     is_length_eq_depth,
+    lcd_verdicts,
     lendim_formula,
     length,
     length_complex_semisimple,
     length_simple,
     smalll_deficit_negative,
+    sqrt_verdicts,
 )
 from .groups import GroupType, SimpleType, iter_semisimple, iter_simple_types, simple
 from .oracle import oracle_depth, oracle_length
@@ -70,54 +83,127 @@ DEFAULT_MAX_DIM = 60
 _EXBD_M = {"G2": 7, "F4": 31, "E6": 32, "E7": 69, "E8": 309}
 
 
+def _depth_is(g: GroupType, target: int, lower: int, upper: int,
+              curated: bool) -> Optional[bool]:
+    """Whether depth(G) = ``target``, from the closed-form depth interval
+    [lower, upper]; the oracle settles a curated ``g`` when the interval
+    cannot (None if nothing can)."""
+    if lower == upper:
+        return target == lower
+    if not lower <= target <= upper:
+        return False
+    if curated:
+        return target == oracle_depth(g)
+    return None
+
+
 def computed_length_eq_depth(g: GroupType) -> Optional[bool]:
     """Decide l(G) = depth(G) from the implementation itself (None if the
     implementation cannot resolve it, which does not happen in range)."""
-    total = length(g)
     d = depth(g)
-    if d.is_exact:
-        return total == d.exact_value
-    if total > d.upper:
-        return False
-    if is_curated(g):
-        return total == depth(g, refine=True).exact_value
-    return None
+    return _depth_is(g, length(g), d.lower, d.upper, is_curated(g))
 
 
 def computed_cd_is_one(g: GroupType) -> Optional[bool]:
-    """Decide cd(G) = 1 from the implementation itself."""
-    cd = chain_difference(g)
-    if cd.is_exact:
-        return cd.exact_value == 1
-    if 1 not in cd:
-        return False
-    if is_curated(g):
-        return chain_difference(g, refine=True).exact_value == 1
-    return None
+    """Decide cd(G) = 1, that is depth(G) = l(G) - 1, from the
+    implementation itself."""
+    d = depth(g)
+    return _depth_is(g, length(g) - 1, d.lower, d.upper, is_curated(g))
 
 
-def _by_part(max_dim: int,
-             passes: Callable[[GroupType], bool]) -> Iterator[tuple[range, list[GroupType]]]:
-    """For each semisimple part H of the enumeration, its torus ranks and
-    the groups H x T^z left to check one by one: none when ``passes`` holds
-    at the representatives (the first rank, and 1 when the ranks start at
-    0), every one in order otherwise."""
+class Part(NamedTuple):
+    """One semisimple part H of the enumeration, in integers."""
+
+    h: GroupType
+    zs: range            # the torus ranks z with H x T^z in range
+    dim: int             # D = dim H
+    length: int          # L = l(H)
+    rank: int            # rank H
+    factors: int         # t, simple factors counted with multiplicity
+    depth_lower: int     # the closed-form depth interval of H
+    depth_upper: int
+    curated: bool        # every factor in the curated coverage set
+
+
+@lru_cache(maxsize=2)
+def _parts(max_dim: int) -> tuple[Part, ...]:
+    """The records of ``iter_semisimple(max_dim)``, in its order."""
+    out = []
     for h, zs in iter_semisimple(max_dim):
+        d = depth(h)
+        out.append(Part(h, zs, h.dim, length(h), h.rank, sum(k for _, k in h.counts),
+                        d.lower, d.upper, is_curated(h)))
+    return tuple(out)
+
+
+def _by_part(parts: Iterable[Part],
+             holds: Callable[[Part, int], bool]) -> Iterator[tuple[Part, list[GroupType]]]:
+    """Each part with the groups H x T^z left to check one by one: none when
+    ``holds`` at the representatives (the first rank, and 1 when the ranks
+    start at 0), every one in order otherwise."""
+    for p in parts:
+        zs = p.zs
         representatives = zs[:2] if zs[0] == 0 else zs[:1]
-        if all(passes(h.with_torus(z)) for z in representatives):
-            yield zs, []
+        if all(holds(p, z) for z in representatives):
+            yield p, []
         else:
-            yield zs, [h.with_torus(z) for z in zs]
+            yield p, [p.h.with_torus(z) for z in zs]
 
 
-def _classification(name: str, max_dim: int,
+# -- per-part verdicts, one per sweep: whether H x T^z passes --------------------
+
+def _rank_bounds_hold(p: Part, z: int) -> bool:
+    t = p.factors
+    return 2 * p.rank <= p.length <= 3 * p.rank - t if t else p.length == 0
+
+
+def _dimlen_holds(p: Part, z: int) -> bool:
+    return all(dimlen_verdicts(z, p.h.counts, p.length, p.dim))
+
+
+def _sqrt_holds(p: Part, z: int) -> bool:
+    return all(sqrt_verdicts(z, p.h.counts, p.length, p.dim))
+
+
+def _lcd_holds(p: Part, z: int) -> bool:
+    # cd(H) refined as check_lcd refines it: by the oracle on a curated
+    # part with two or more distinct factors
+    refined = p.curated and len(p.h.counts) > 1
+    cd_low = p.length - (oracle_depth(p.h) if refined else p.depth_upper)
+    return all(lcd_verdicts(z, p.h.counts, p.length, p.dim, cd_low))
+
+
+def _ld_holds(p: Part, z: int) -> bool:
+    got = _depth_is(p.h, p.length, p.depth_lower, p.depth_upper, p.curated)
+    return got == is_length_eq_depth(p.h)
+
+
+def _cd_holds(p: Part, z: int) -> bool:
+    got = _depth_is(p.h, p.length - 1, p.depth_lower, p.depth_upper, p.curated)
+    return got == is_published_cd_one(p.h)
+
+
+def _superadditive(counts: tuple, cd_lower: int) -> bool:
+    """cd(G) >= the sum of cd(S^k) over the homogeneous blocks S^k of G,
+    from the lower end of the unrefined cd(G); vacuous for one block."""
+    if len(counts) < 2:
+        return True
+    return cd_lower >= sum(chain_difference(GroupType(0, (pair,))).exact_value
+                           for pair in counts)
+
+
+def _superadditive_holds(p: Part, z: int) -> bool:
+    return _superadditive(p.h.counts, p.length - p.depth_upper)
+
+
+def _classification(name: str, max_dim: int, holds: Callable[[Part, int], bool],
                     predicate: Callable[[GroupType], bool],
                     computed: Callable[[GroupType], Optional[bool]]) -> list[Check]:
     scanned = 0
     mismatches: list[str] = []
     unresolved: list[str] = []
-    for zs, groups in _by_part(max_dim, lambda g: computed(g) == predicate(g)):
-        scanned += len(zs)
+    for p, groups in _by_part(_parts(max_dim), holds):
+        scanned += len(p.zs)
         for g in groups:
             want = predicate(g)
             got = computed(g)
@@ -143,14 +229,14 @@ def _verdict(claim: str, inputs: dict, noun: str, bad: list,
                  "expected 0", not bad)
 
 
-def _sweep(claim: str, max_dim: int,
+def _sweep(claim: str, max_dim: int, holds: Callable[[Part, int], bool],
            checker: Callable[[GroupType], list[Check]]) -> Check:
     """Every per-group check of ``checker`` over the enumeration, as one
-    verdict on the failed ones."""
+    verdict on the failed ones; ``holds`` decides a part without it."""
     scanned = 0
     failures: list[str] = []
-    for zs, groups in _by_part(max_dim, lambda g: all(c.passed for c in checker(g))):
-        scanned += len(zs)
+    for p, groups in _by_part(_parts(max_dim), holds):
+        scanned += len(p.zs)
         for g in groups:
             failures += [f"{g}: {check.claim}" for check in checker(g) if not check.passed]
     return _verdict(claim, {"max_dim": max_dim, "groups_scanned": scanned},
@@ -161,20 +247,13 @@ def _sweep(claim: str, max_dim: int,
 
 def suite_general(max_dim: int) -> list[Check]:
     """Rank bounds on the length of every enumerated group."""
-
-    def within(g: GroupType) -> bool:
-        z = g.torus_rank
-        r = g.rank - z
-        t = sum(k for _, k in g.counts)
-        total = length(g)
-        return z + 2 * r <= total <= z + 3 * r - t if t else total == z
-
     worst = None
     scanned = 0
-    for zs, groups in _by_part(max_dim, within):
-        bad = next((i for i, g in enumerate(groups) if not within(g)), None)
+    for p, groups in _by_part(_parts(max_dim), _rank_bounds_hold):
+        bad = next((i for i, g in enumerate(groups)
+                    if not _rank_bounds_hold(p, g.torus_rank)), None)
         if bad is None:
-            scanned += len(zs)
+            scanned += len(p.zs)
         else:
             scanned += bad + 1  # the first failure ends the scan
             worst = str(groups[bad])
@@ -190,7 +269,8 @@ def suite_general(max_dim: int) -> list[Check]:
 
 def suite_dimlen(max_dim: int) -> list[Check]:
     """Dimension-deficit bounds for every enumerated group."""
-    return [_sweep("dimension deficit bounds over the enumeration", max_dim, check_dimlen)]
+    return [_sweep("dimension deficit bounds over the enumeration", max_dim,
+                   _dimlen_holds, check_dimlen)]
 
 
 def suite_sqrt(max_dim: int) -> list[Check]:
@@ -207,7 +287,7 @@ def suite_sqrt(max_dim: int) -> list[Check]:
                     elem_bad.append(f"({x},{y}) {label}")
     return [
         _sweep("square-root dimension lower bound over the enumeration", max_dim,
-               check_sqrt_lower_bound),
+               _sqrt_holds, check_sqrt_lower_bound),
         _verdict("elementary square-root inequalities on a rational grid",
                  {"grid": [str(q) for q in grid]}, "failures", elem_bad, None),
     ]
@@ -277,7 +357,7 @@ def suite_ld(max_dim: int) -> list[Check]:
     times a torus."""
     return _classification(
         "length equals depth exactly for tori and SU(2) x torus",
-        max_dim, is_length_eq_depth, computed_length_eq_depth)
+        max_dim, _ld_holds, is_length_eq_depth, computed_length_eq_depth)
 
 
 # the chain-difference-one list as published: commutator SU_3, SU_2^2 or
@@ -301,28 +381,28 @@ def suite_cd(max_dim: int) -> list[Check]:
     corrected classification."""
     return _classification(
         "chain difference one matches the published list",
-        max_dim, is_published_cd_one, computed_cd_is_one)
+        max_dim, _cd_holds, is_published_cd_one, computed_cd_is_one)
 
 
 def suite_lcd(max_dim: int) -> list[Check]:
     """Semisimple length against the chain difference, over the enumeration,
     with equality spot-checked at SU(2)^k."""
-    out = [_sweep("chain-difference length bounds over the enumeration", max_dim, check_lcd)]
+    out = [_sweep("chain-difference length bounds over the enumeration", max_dim,
+                  _lcd_holds, check_lcd)]
     powers = {k: GroupType(0, ((SimpleType("SU", 2), k),)) for k in range(1, 6)}
     eq_bad = [k for k, g in powers.items()
               if length(g) != 2 * chain_difference(g).exact_value + 2]
     out.append(_verdict("equality l = 2 cd + 2 at every power of SU(2)",
                         {"k": "1..5"}, "mismatches", eq_bad, None))
-
-    def superadditive(g: GroupType) -> bool:
-        if len(g.counts) < 2:
-            return True
-        block_sum = sum(chain_difference(GroupType(0, ((s, k),))).exact_value
-                        for s, k in g.counts)
-        return chain_difference(g).lower >= block_sum
-
-    superadd_bad = [str(g) for _, groups in _by_part(min(max_dim, 40), superadditive)
-                    for g in groups if not superadditive(g)]
+    # the records of dim <= 40 with their ranges cut to 40, in the order of
+    # iter_semisimple(40): the parts of dimension <= 40 are closed under
+    # dropping a factor, so the preorder keeps their relative order
+    bound = min(max_dim, 40)
+    small = (p._replace(zs=range(p.zs.start, bound - p.dim + 1))
+             for p in _parts(max_dim) if p.dim <= bound)
+    superadd_bad = [str(g) for _, groups in _by_part(small, _superadditive_holds)
+                    for g in groups
+                    if not _superadditive(g.counts, chain_difference(g).lower)]
     out.append(_verdict("chain difference at least the sum over homogeneous blocks",
                         {}, "mismatches", superadd_bad))
     return out

@@ -261,6 +261,19 @@ def test_pairs_agree_with_the_flat_factor_tuple_on_the_enumeration():
         _assert_operations_agree(a, _flat(a), b, _flat(b))
 
 
+def test_constructions_that_skip_the_merge_equal_the_normalised_ones():
+    # with_torus, semisimple_part and the enumeration reuse pairs that are
+    # already canonical instead of sorting and merging them again
+    for g in iter_groups(30):
+        for extra in (-g.torus_rank, 0, 2):
+            h = g.with_torus(extra)
+            want = GroupType(g.torus_rank + extra, tuple(reversed(g.counts)))
+            assert h == want and hash(h) == hash(want) and h.counts == want.counts
+        assert g.semisimple_part == GroupType(0, g.counts)
+    with pytest.raises(MalformedTypeError):
+        parse_group("SU(3) x T").with_torus(-2)
+
+
 def test_iter_groups_bounded_and_unique():
     seen = list(iter_groups(12))
     assert len(seen) == len(set(seen))

@@ -4,9 +4,14 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from liechain.formulas import length, smalll_deficit, sqrt_lower_bound
+from liechain.formulas import length, smalll_deficit
 from liechain.groups import parse_group
 from liechain.radicals import ALPHA, BETA, BETA_INV, QuadExpr
+
+
+def sqrt_lower_bound(g):
+    """The lower-bound expression beta * (sqrt(dim) - alpha)."""
+    return BETA * (QuadExpr.sqrt(g.dim) - ALPHA)
 
 
 def test_constant_decimals():
@@ -88,7 +93,7 @@ def _bounds_sign(x: QuadExpr) -> int:
     if not x.terms:
         return 0
     if x.is_rational:
-        q = x.as_fraction()
+        q = x.terms[0][1]  # the one term, over sqrt(1)
         return (q > 0) - (q < 0)
     prec = 16
     while prec <= 1 << 20:
@@ -130,6 +135,8 @@ def test_sign_boundary_cases():
     assert residue.sign() == _bounds_sign(residue) == 0
     assert QuadExpr.rational(20) >= sqrt_lower_bound(e8)
     assert not QuadExpr.rational(20) > sqrt_lower_bound(e8)
+    # E8 attains the bound exactly
+    assert sqrt_lower_bound(parse_group("E8")) == QuadExpr.rational(20)
     for ns, expected in (((7, 7), -1), ((8, 7), 1), ((7, 7, 7), 1)):
         deficit = smalll_deficit(ns)
         assert deficit.sign() == _bounds_sign(deficit) == expected, ns

@@ -170,7 +170,7 @@ def test_per_part_sweep_matches_group_by_group_loops(max_dim):
     assert not got["cd"][0].passed
 
 
-def test_sweep_calls_a_checker_at_most_twice_per_part(monkeypatch):
+def test_passing_sweep_builds_no_check(monkeypatch):
     calls = []
 
     def counted(g):
@@ -181,20 +181,71 @@ def test_sweep_calls_a_checker_at_most_twice_per_part(monkeypatch):
     (check,) = suites.suite_dimlen(30)
     parts = list(iter_semisimple(30))
     assert check.passed and check.inputs["groups_scanned"] == sum(len(zs) for _, zs in parts)
-    assert len(calls) <= 2 * len(parts)
-    assert {g.torus_rank for g in calls} == {0, 1}
+    assert calls == []
 
 
 def test_failing_representative_falls_back_to_every_torus_rank(monkeypatch):
     su3 = ((SimpleType("SU", 3), 1),)
-    calls = []
+    decided, rendered = [], []
+    verdicts = suites.dimlen_verdicts
 
-    def fails_off_the_semisimple_part(g):
-        calls.append(g)
+    def fails_off_the_semisimple_part(z, counts, l_ss, dim_ss):
+        if counts == su3:
+            decided.append(z)
+            if z:
+                return (False,)
+        return verdicts(z, counts, l_ss, dim_ss)
+
+    def fake(g):
+        rendered.append(g)
         return [Check("fake", {}, "", "", not (g.counts == su3 and g.torus_rank))]
 
-    monkeypatch.setattr(suites, "check_dimlen", fails_off_the_semisimple_part)
+    monkeypatch.setattr(suites, "dimlen_verdicts", fails_off_the_semisimple_part)
+    monkeypatch.setattr(suites, "check_dimlen", fake)
     (check,) = suites.suite_dimlen(12)
-    # SU(3) has dim 8: the representatives z = 0, 1, then every z in 0..4
+    # SU(3) has dim 8: decided at the representatives z = 0, 1, then
+    # rendered at every z in 0..4, and no other part is rendered
     assert check.inputs["failures"] == [f"{GroupType(z, su3)}: fake" for z in range(1, 5)]
-    assert [g.torus_rank for g in calls if g.counts == su3] == [0, 1, 0, 1, 2, 3, 4]
+    assert decided == [0, 1]
+    assert [(g.counts, g.torus_rank) for g in rendered] == [(su3, z) for z in range(5)]
+
+
+def _within_rank_bounds(g):
+    z = g.torus_rank
+    r = g.rank - z
+    t = sum(k for _, k in g.counts)
+    total = length(g)
+    return z + 2 * r <= total <= z + 3 * r - t if t else total == z
+
+
+def _superadditive(g):
+    if len(g.counts) < 2:
+        return True
+    block_sum = sum(chain_difference(GroupType(0, ((s, k),))).exact_value
+                    for s, k in g.counts)
+    return chain_difference(g).lower >= block_sum
+
+
+def _passes(checker):
+    return lambda g: all(c.passed for c in checker(g))
+
+
+@pytest.mark.parametrize("holds,reference", [
+    (suites._rank_bounds_hold, _within_rank_bounds),
+    (suites._dimlen_holds, _passes(check_dimlen)),
+    (suites._sqrt_holds, _passes(check_sqrt_lower_bound)),
+    (suites._ld_holds, lambda g: computed_length_eq_depth(g) == is_length_eq_depth(g)),
+    (suites._cd_holds, lambda g: computed_cd_is_one(g) == is_published_cd_one(g)),
+    (suites._lcd_holds, _passes(check_lcd)),
+    (suites._superadditive_holds, _superadditive),
+], ids=["general", "dimlen", "sqrt", "ld", "cd", "lcd", "superadditive"])
+def test_part_verdicts_agree_with_the_per_group_checks(holds, reference):
+    # the integer decision at every torus rank of every part, not only at
+    # the representatives, against the group-level check it stands for
+    seen = []
+    for p in suites._parts(30):
+        for z in p.zs:
+            g = p.h.with_torus(z)
+            seen.append(g)
+            assert holds(p, z) == reference(g), g
+    assert seen == list(iter_groups(30))
