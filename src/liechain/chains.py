@@ -8,14 +8,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import MalformedTypeError
-from .formulas import max_step_simple, min_step_simple
+from .formulas import depth, max_step_simple, min_step_simple
 from .groups import GroupType, parse_group
 from .oracle import oracle_depth
 from .subgroups import (
     NO,
     UNKNOWN,
     EmbeddingKind,
-    is_curated,
     is_maximal_step,
     maximal_connected,
     maximal_steps,
@@ -109,15 +108,13 @@ def max_chain(g: GroupType) -> Chain:
 
 
 def min_chain(g: GroupType) -> Optional[Chain]:
-    """A shortest unrefinable chain, of length exactly ``depth(g)``, when the
-    depth is known exactly: tori, homogeneous powers of one simple type (plus
-    torus), and groups inside the curated coverage set (where the brute force
-    pins the depth).  Returns None otherwise."""
-    if len(g.counts) <= 1:
-        return _descend(g, _min_pick)
-    if not is_curated(g):
+    """A shortest unrefinable chain, of length exactly ``depth(g)``, when
+    ``depth(g, refine=True)`` is exact; None otherwise.  One simple type
+    (plus torus) descends by the step tables, a mixed product by the
+    brute-force depth of the database entries."""
+    if not depth(g, refine=True).is_exact:
         return None
-    return _descend(g, _curated_pick)
+    return _descend(g, _min_pick if len(g.counts) <= 1 else _curated_pick)
 
 
 # -- verification --------------------------------------------------------------

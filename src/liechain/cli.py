@@ -55,8 +55,23 @@ def _cmd_dims(args) -> int:
     return 0
 
 
+def _refuse_large(g: GroupType) -> bool:
+    """Report, and return True for, a group whose subgroup database is too
+    large to generate: a classical type of degree n has at most 7n/6
+    maximal steps, so the degrees of the distinct classical factors, summed,
+    bound the work, and they may not exceed the cap the parser puts on S^k."""
+    degrees = sum(s.degree for s, _ in g.counts if s.is_classical)
+    if degrees <= MAX_POWER_FACTORS:
+        return False
+    print(f"error: {g} has classical degrees summing to {degrees}, above the "
+          f"{MAX_POWER_FACTORS} a subgroup table may take", file=sys.stderr)
+    return True
+
+
 def _cmd_maximals(args) -> int:
     g = parse_group(args.group)
+    if _refuse_large(g):
+        return 2
     if args.json:
         print(json.dumps(query_json(g)))
         return 0
@@ -107,6 +122,8 @@ def _cmd_verify_chain(args) -> int:
         print(f"error: {args.file} is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     nodes = parse_chain_text(text)
+    if any(_refuse_large(g) for g in nodes[:-1]):
+        return 2
     report = verify_chain(nodes)
     if args.json:
         print(json.dumps(report.to_json()))

@@ -154,7 +154,8 @@ def complex_depth_simple(s: SimpleType) -> int:
 def depth(g: GroupType, refine: bool = False) -> BoundsOrExact:
     """Depth of ``g``: exact for tori and homogeneous S^k (times torus),
     interval bounds otherwise.  With ``refine=True`` the interval is upgraded
-    to the exact brute-force value whenever ``g`` lies in the curated set."""
+    to the exact brute-force value whenever ``g`` lies in the curated set;
+    the suites and ``chains.min_chain`` take exactness from this rule."""
     z, counts = g.torus_rank, g.counts
     if not counts:
         return BoundsOrExact.exact(z)

@@ -42,7 +42,7 @@ YES, NO, UNKNOWN = "yes", "no", "unknown"
 
 _KINDS = frozenset({
     "reducible", "levi", "classical-in-su", "tensor", "exceptional",
-    "irreducible", "diagonal", "factor", "torus-drop", "terminal",
+    "irreducible", "diagonal", "factor", "torus-drop",
 })
 
 

@@ -6,26 +6,25 @@ per-family scans) and returns a list of Check records.  ``cross_validate``
 compares the closed forms with the brute force group by group.
 
 The sweeps over the enumeration read one record per semisimple part H
-(``Part``): its torus ranks zs, D = dim H, L = l(H), rank H, the number t
-of simple factors counted with multiplicity, the closed-form depth interval
-of H, and whether H is curated.  The records of one bound are built once
-per process (``_parts``, two bounds kept) and shared by every sweep.  A
-sweep decides each part from its record in integers, with the same
-verdict functions the ``formulas.check_*`` checks take ``passed`` from
-(cached radical verdicts for ``sqrt`` and ``lcd``); the oracle is asked
-only where a check refines, at curated parts with two or more distinct
-factors.  A part is decided at the representatives H (z = 0) and H x T
-(z = 1), or at T for the tori; when they all pass, every torus rank of the
-range passes, and no Check is built.  When one fails or is unresolved,
-every H x T^z of the range goes through the per-group check in order, so
-failures are rendered and listed exactly as a group-by-group sweep lists
-them.
+(``Part``), built once per process (``_parts``, two bounds kept) and
+shared by every sweep.  ``formulas.depth(refine=True)`` is the one place
+that decides whether a depth is exact and when the oracle is asked for
+one; the record keeps its answer for H, and ``computed_*`` and
+``chains.min_chain`` ask it too.  A sweep decides each part from its
+record in integers, with the same verdict functions the
+``formulas.check_*`` checks take ``passed`` from (cached radical verdicts
+for ``sqrt`` and ``lcd``).  A part is decided at the representatives H
+(z = 0) and H x T (z = 1), or at T for the tori; when they all pass,
+every torus rank of the range passes, and no Check is built.  When one
+fails or is unresolved, every H x T^z of the range goes through the
+per-group check in order, so failures are rendered and listed exactly as a
+group-by-group sweep lists them.
 
 Why a pass at z = 1 is a pass at every z >= 1.  Let G = H x T^z.  Then
 l(G) = L + z, dim G = D + z, rank G = rank H + z and G' = H.  The
 closed-form depth of G is that of H plus z, exact or interval alike; with
 ``refine=True`` the brute-force depth is too, by the oracle's torus shift,
-and ``is_curated`` reads only the factors.  So cd(G x T) = cd(G), refined
+and the refinement reads only the factors.  So cd(G x T) = cd(G), refined
 or not.  Per suite:
 
 - general: r = rank - z and t are fixed, and z + 2r <= L + z <= z + 3r - t
@@ -52,6 +51,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .formulas import (
+    BoundsOrExact,
     Check,
     chain_difference,
     check_dimlen,
@@ -75,7 +75,7 @@ from .formulas import (
 from .groups import GroupType, SimpleType, iter_semisimple, iter_simple_types, simple
 from .oracle import oracle_depth, oracle_length
 from .radicals import BETA, QuadExpr
-from .subgroups import CURATED_SIMPLE, is_curated, min_irrep_dim
+from .subgroups import CURATED_SIMPLE, min_irrep_dim
 
 DEFAULT_MAX_DIM = 60
 
@@ -83,57 +83,41 @@ DEFAULT_MAX_DIM = 60
 _EXBD_M = {"G2": 7, "F4": 31, "E6": 32, "E7": 69, "E8": 309}
 
 
-def _depth_is(g: GroupType, target: int, lower: int, upper: int,
-              curated: bool) -> Optional[bool]:
-    """Whether depth(G) = ``target``, from the closed-form depth interval
-    [lower, upper]; the oracle settles a curated ``g`` when the interval
-    cannot (None if nothing can)."""
-    if lower == upper:
-        return target == lower
-    if not lower <= target <= upper:
-        return False
-    if curated:
-        return target == oracle_depth(g)
-    return None
+def _depth_is(d: BoundsOrExact, target: int) -> Optional[bool]:
+    """Whether the depth ``d`` equals ``target``: None when ``d`` is an
+    interval that holds ``target``."""
+    if d.is_exact:
+        return target == d.lower
+    return None if target in d else False
 
 
 def computed_length_eq_depth(g: GroupType) -> Optional[bool]:
     """Decide l(G) = depth(G) from the implementation itself (None if the
     implementation cannot resolve it, which does not happen in range)."""
-    d = depth(g)
-    return _depth_is(g, length(g), d.lower, d.upper, is_curated(g))
+    return _depth_is(depth(g, refine=True), length(g))
 
 
 def computed_cd_is_one(g: GroupType) -> Optional[bool]:
     """Decide cd(G) = 1, that is depth(G) = l(G) - 1, from the
     implementation itself."""
-    d = depth(g)
-    return _depth_is(g, length(g) - 1, d.lower, d.upper, is_curated(g))
+    return _depth_is(depth(g, refine=True), length(g) - 1)
 
 
 class Part(NamedTuple):
     """One semisimple part H of the enumeration, in integers."""
 
     h: GroupType
-    zs: range            # the torus ranks z with H x T^z in range
-    dim: int             # D = dim H
-    length: int          # L = l(H)
-    rank: int            # rank H
-    factors: int         # t, simple factors counted with multiplicity
-    depth_lower: int     # the closed-form depth interval of H
-    depth_upper: int
-    curated: bool        # every factor in the curated coverage set
+    zs: range              # the torus ranks z with H x T^z in range
+    dim: int               # D = dim H
+    length: int            # L = l(H)
+    depth: BoundsOrExact   # depth(H, refine=True)
 
 
 @lru_cache(maxsize=2)
 def _parts(max_dim: int) -> tuple[Part, ...]:
     """The records of ``iter_semisimple(max_dim)``, in its order."""
-    out = []
-    for h, zs in iter_semisimple(max_dim):
-        d = depth(h)
-        out.append(Part(h, zs, h.dim, length(h), h.rank, sum(k for _, k in h.counts),
-                        d.lower, d.upper, is_curated(h)))
-    return tuple(out)
+    return tuple(Part(h, zs, h.dim, length(h), depth(h, refine=True))
+                 for h, zs in iter_semisimple(max_dim))
 
 
 def _by_part(parts: Iterable[Part],
@@ -153,8 +137,9 @@ def _by_part(parts: Iterable[Part],
 # -- per-part verdicts, one per sweep: whether H x T^z passes --------------------
 
 def _rank_bounds_hold(p: Part, z: int) -> bool:
-    t = p.factors
-    return 2 * p.rank <= p.length <= 3 * p.rank - t if t else p.length == 0
+    t = sum(k for _, k in p.h.counts)
+    r = p.h.rank
+    return 2 * r <= p.length <= 3 * r - t if t else p.length == 0
 
 
 def _dimlen_holds(p: Part, z: int) -> bool:
@@ -166,21 +151,15 @@ def _sqrt_holds(p: Part, z: int) -> bool:
 
 
 def _lcd_holds(p: Part, z: int) -> bool:
-    # cd(H) refined as check_lcd refines it: by the oracle on a curated
-    # part with two or more distinct factors
-    refined = p.curated and len(p.h.counts) > 1
-    cd_low = p.length - (oracle_depth(p.h) if refined else p.depth_upper)
-    return all(lcd_verdicts(z, p.h.counts, p.length, p.dim, cd_low))
+    return all(lcd_verdicts(z, p.h.counts, p.length, p.dim, p.length - p.depth.upper))
 
 
 def _ld_holds(p: Part, z: int) -> bool:
-    got = _depth_is(p.h, p.length, p.depth_lower, p.depth_upper, p.curated)
-    return got == is_length_eq_depth(p.h)
+    return _depth_is(p.depth, p.length) == is_length_eq_depth(p.h)
 
 
 def _cd_holds(p: Part, z: int) -> bool:
-    got = _depth_is(p.h, p.length - 1, p.depth_lower, p.depth_upper, p.curated)
-    return got == is_published_cd_one(p.h)
+    return _depth_is(p.depth, p.length - 1) == is_published_cd_one(p.h)
 
 
 def _superadditive(counts: tuple, cd_lower: int) -> bool:
@@ -193,7 +172,7 @@ def _superadditive(counts: tuple, cd_lower: int) -> bool:
 
 
 def _superadditive_holds(p: Part, z: int) -> bool:
-    return _superadditive(p.h.counts, p.length - p.depth_upper)
+    return _superadditive(p.h.counts, chain_difference(p.h).lower)
 
 
 def _classification(name: str, max_dim: int, holds: Callable[[Part, int], bool],

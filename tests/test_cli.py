@@ -116,6 +116,23 @@ def test_chain_over_the_length_cap_is_refused_at_once(capsys, mode):
     assert code == 0 and len(out.splitlines()) == 3999
 
 
+def test_database_work_over_the_degree_cap_is_refused_at_once(tmp_path, capsys):
+    # verify-chain would generate 1.5M reducible steps of SU(3000000)
+    # before it reached SO(3000000)
+    path = tmp_path / "chain.txt"
+    path.write_text("SU(3000000)\nSO(3000000)\n1\n", encoding="utf-8")
+    for argv in (("maximals", "SU(99999999)"), ("--json", "maximals", "SU(99999999)"),
+                 ("verify-chain", str(path))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    code, out, _ = run(capsys, "maximals", "SU(3600)")
+    assert code == 0 and out.endswith("# 1824 maximal connected subgroup types, "
+                                      "incomplete (outside curated coverage set: SU(3600))\n")
+
+
 def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "len", "SU(2")
     assert code == 2 and "error" in err

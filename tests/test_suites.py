@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from liechain import suites
+from liechain.chains import min_chain
 from liechain.cli import main
 from liechain.formulas import (
     Check,
@@ -14,10 +15,13 @@ from liechain.formulas import (
     check_dimlen,
     check_lcd,
     check_sqrt_lower_bound,
+    depth,
     is_length_eq_depth,
     length,
 )
 from liechain.groups import GroupType, SimpleType, iter_groups, iter_semisimple
+from liechain.oracle import oracle_depth
+from liechain.subgroups import is_curated
 from liechain.suites import (
     DEFAULT_MAX_DIM,
     SUITES,
@@ -249,3 +253,35 @@ def test_part_verdicts_agree_with_the_per_group_checks(holds, reference):
             seen.append(g)
             assert holds(p, z) == reference(g), g
     assert seen == list(iter_groups(30))
+
+
+def _reference_depth_is(g, target):
+    # the rule spelled out on its own: the closed-form interval decides,
+    # and the oracle settles a curated group only when the interval holds
+    # the target
+    d = depth(g)
+    if d.is_exact:
+        return target == d.exact_value
+    if target not in d:
+        return False
+    if is_curated(g):
+        return target == oracle_depth(g)
+    return None
+
+
+def test_exact_depth_decisions_match_an_independent_rule():
+    # every group of dim <= 30, and the non-curated mixed parts of dim <= 60
+    # at z = 0, 1, whose depth only an interval gives (it never holds l or
+    # l - 1 there: their chain difference is at least 7)
+    groups = list(iter_groups(30)) + [
+        p.h.with_torus(z) for p in suites._parts(60)
+        if len(p.h.counts) > 1 and not is_curated(p.h) for z in p.zs[:2]]
+    bounded = 0
+    for g in groups:
+        l = length(g)
+        assert computed_length_eq_depth(g) == _reference_depth_is(g, l), g
+        assert computed_cd_is_one(g) == _reference_depth_is(g, l - 1), g
+        only_bounded = len(g.counts) > 1 and not is_curated(g)
+        assert (min_chain(g) is None) == only_bounded, g
+        bounded += only_bounded
+    assert bounded == 112 + 92  # 92 of the 112 parts have room for z = 1
