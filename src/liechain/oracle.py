@@ -18,20 +18,106 @@ on dimension, with l(H) = 1 + max l(C) and depth(H) = 1 + min depth(C):
     depth(H x T^z) = 1 + min(depth(H) + z - 1, min depth(C) + z) = depth(H) + z
 
 (and T^z alone gives (z, z)).  So the cached path computes H once and adds
-z back; it reads the steps of semisimple types (``maximal_steps``) and
-builds no ``maximal_connected`` table.  ``Oracle(cached=False)`` recurses
-over the full types and their tables instead, as the independent reference
-for that argument; it walks every chain, so it only serves small groups,
-and its recursion depth is at most l(G).
+z back.
+
+The curated coverage set is downward closed, so every semisimple node
+below a curated query is a multiplicity vector over the ten curated simple
+types, in canonical order, and the search walks those vectors.  On its
+first search it reads each curated type's steps once from
+``maximal_steps`` and keeps, for each step, the change it makes to the
+vector (one copy of the type removed, the step's factors added) and the
+rank of the torus it adds.  It then applies the product rule of
+``maximal_steps`` to vectors: at a node, each step of each factor present
+replaces one copy of that factor, a repeated factor also collapses by its
+diagonal (one copy removed), and a semisimple node has no torus to drop.
+A child is the node's vector plus a step's change, so no ``GroupType`` is
+built per step.  A vector is packed into one int, one field per type, each
+wide enough for any multiplicity below the query (see ``_Vectors``).
+
+``Oracle.table`` maps each semisimple node the search has finished,
+as a ``GroupType``, to its (length, depth).  ``Oracle(cached=False)``
+recurses over the full types and their ``maximal_connected`` tables
+instead, as the independent reference for the torus shift and the vector
+walk; it walks every chain, so it only serves small groups, and its
+recursion depth is at most l(G).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from typing import Iterable, Optional
 
 from .errors import IncompleteDatabaseError
-from .groups import GroupType
-from .subgroups import is_curated, maximal_connected, maximal_steps
+from .groups import GroupType, SimpleType, _canonical
+from .subgroups import CURATED_SIMPLE, is_curated, maximal_connected, maximal_steps
+
+# coordinate i of a memo vector is the multiplicity of _CURATED[i]
+_CURATED = tuple(sorted(CURATED_SIMPLE, key=lambda s: s.sort_key))
+_INDEX = {s: i for i, s in enumerate(_CURATED)}
+# the narrowest vector field: wide enough for every query up to dim 191, so
+# sweeps of that range never widen the fields and re-key the memo
+_MIN_BITS = 6
+
+
+class _Pairs(dict):
+    """The (type, multiplicity) pairs of one type, by multiplicity: one tuple
+    each, shared by every memoized ``GroupType`` that has it."""
+
+    __slots__ = ("s",)
+
+    def __init__(self, s: SimpleType):
+        super().__init__()
+        self.s = s
+
+    def __missing__(self, k: int) -> tuple[SimpleType, int]:
+        pair = self[k] = (self.s, k)
+        return pair
+
+
+class _Vectors:
+    """The memo over packed multiplicity vectors at one field width.
+
+    A vector ``v`` is the int ``sum(v[i] << bits * i)``.  Packing is linear,
+    so a child's key is its parent's key plus the step's packed change, as
+    long as every coordinate of every node fits its field.  It does when
+    ``2 ** bits`` exceeds ``dim H // 3`` for the query ``H``: a node below
+    ``H`` has dimension at most ``dim H``, and every curated type has
+    dimension at least 3 (``SU(2)``), so no multiplicity exceeds
+    ``dim H // 3``.
+    """
+
+    __slots__ = ("bits", "values", "steps", "units", "pairs")
+
+    def __init__(self, bits: int, old: Optional["_Vectors"]):
+        self.bits = bits
+        self.units = tuple(1 << bits * i for i in range(len(_CURATED)))
+        self.steps = tuple(self._steps(s) for s in _CURATED)
+        self.pairs = tuple(_Pairs(s) for s in _CURATED)
+        # the trivial group, below every node
+        self.values: dict[int, tuple[int, int]] = {0: (0, 0)}
+        if old is not None:
+            for key, value in old.values.items():
+                self.values[self.pack(zip(_CURATED, old.unpack(key)))] = value
+
+    def _steps(self, s: SimpleType) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The steps of ``s``: their packed changes, and their torus ranks."""
+        deltas, ranks = [], []
+        for child, _ in maximal_steps(GroupType(0, ((s, 1),))):
+            assert all(t in _INDEX for t, _ in child.counts), (
+                f"{s} steps outside the curated set to {child}")
+            deltas.append(self.pack(child.counts) - self.units[_INDEX[s]])
+            ranks.append(child.torus_rank)
+        return tuple(deltas), tuple(ranks)
+
+    def pack(self, counts: Iterable[tuple[SimpleType, int]]) -> int:
+        """The key of the vector with these (type, multiplicity) pairs."""
+        return sum(k << self.bits * _INDEX[s] for s, k in counts)
+
+    def unpack(self, key: int) -> list[int]:
+        """The multiplicities of ``_CURATED`` in the vector ``key``."""
+        mask, bits = (1 << self.bits) - 1, self.bits
+        return [key >> bits * i & mask for i in range(len(_CURATED))]
 
 
 @dataclass
@@ -40,13 +126,15 @@ class Oracle:
 
     Lookups and inserts are plain dict operations (atomic under the GIL);
     recomputing a node concurrently is harmless because results are
-    deterministic.  With ``cached=False`` every call recomputes from
-    scratch over the full type, torus included, which is exponentially
-    slower but must agree.
+    deterministic, and a search that widens the vector fields starts a new
+    vector memo rather than changing the one another search reads.  With
+    ``cached=False`` every call recomputes from scratch over the full type,
+    torus included, which is exponentially slower but must agree.
     """
 
     cached: bool = True
     table: dict[GroupType, tuple[int, int]] = field(default_factory=dict)
+    _vectors: Optional[_Vectors] = field(default=None, init=False, repr=False, compare=False)
 
     def compute(self, g: GroupType) -> tuple[int, int]:
         if not self.cached:
@@ -69,30 +157,42 @@ class Oracle:
         only the queried node can be incomplete; it is raised under its
         full type, torus included.
         """
+        h, _ = _split(g)
+        if not is_curated(h):
+            raise IncompleteDatabaseError(g)
+        bits = max(_MIN_BITS, (h.dim // 3).bit_length())
+        vectors = self._vectors
+        if vectors is None or vectors.bits < bits:
+            vectors = self._vectors = _Vectors(bits, vectors)
+        values, steps, units, pairs = vectors.values, vectors.steps, vectors.units, vectors.pairs
+        unpack = vectors.unpack
         table = self.table
 
-        def frame(node: GroupType):
-            h, _ = _split(node)
-            if not is_curated(h):
-                raise IncompleteDatabaseError(node)
-            children = [(child, *_split(child)) for child, _ in maximal_steps(h)]
-            return h, children, iter(children)
+        def frame(key: int):
+            counts = unpack(key)
+            keys, zs = [], []
+            for i, c in enumerate(counts):
+                if c:
+                    deltas, ranks = steps[i]
+                    keys += [key + delta for delta in deltas]
+                    zs += ranks
+                    if c > 1:
+                        keys.append(key - units[i])
+                        zs.append(0)
+            return key, counts, keys, zs, filterfalse(values.__contains__, keys)
 
-        stack = [frame(g)]
+        stack = [frame(vectors.pack(h.counts))]
         while stack:
-            h, children, todo = stack[-1]
-            for child, k, _ in todo:
-                if not k.is_trivial and k not in table:
-                    stack.append(frame(child))
-                    break
-            else:
-                stack.pop()
-                lengths, depths = [], []
-                for _, k, z in children:
-                    l, d = (0, 0) if k.is_trivial else table[k]
-                    lengths.append(l + z)
-                    depths.append(d + z)
-                table[h] = (1 + max(lengths), 1 + min(depths))
+            key, counts, keys, zs, pending = stack[-1]
+            child = next(pending, None)
+            if child is not None:
+                stack.append(frame(child))
+                continue
+            stack.pop()
+            got = [values[child] for child in keys]
+            value = values[key] = (1 + max([l + z for (l, _), z in zip(got, zs)]),
+                                   1 + min([d + z for (_, d), z in zip(got, zs)]))
+            table[_canonical(0, tuple(pairs[i][c] for i, c in enumerate(counts) if c))] = value
 
     def _plain(self, g: GroupType) -> tuple[int, int]:
         """The recursion over the full type, torus included, with no memo."""

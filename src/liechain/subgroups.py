@@ -9,10 +9,12 @@ types and deduplicated, so e.g. the SO_4 subgroup of SU_4 and the 2x2 tensor
 subgroup collapse into one SU_2 x SU_2 entry.
 
 The product rule ``maximal_steps(g)`` is the database's one interface, read
-lazily by witness chains, ``is_maximal_step`` and the oracle.  Each simple
-type's steps come from its step sequence: generated from the families on
-demand, deduplicated in generation order, and kept as far as generated, so
-a reader that stops at the step it needs generates nothing past it.
+lazily by witness chains and ``is_maximal_step``.  The oracle reads the
+steps of each curated simple type through it once, and applies the same
+rule itself to multiplicity vectors.  Each simple type's steps come from
+its step sequence: generated from the families on demand, deduplicated in
+generation order, and kept as far as generated, so a reader that stops at
+the step it needs generates nothing past it.
 ``maximal_connected(g)`` is the sorted, cached table of the steps, read by
 ``maximals``, curated shortest chains and the uncached oracle reference.
 
@@ -138,7 +140,7 @@ CURATED_SIMPLE = frozenset({
 
 def is_curated(g: GroupType) -> bool:
     """True when every simple factor lies in the curated coverage set."""
-    return _flag(g).complete
+    return all(s in CURATED_SIMPLE for s, _ in g.counts)
 
 
 # maximal connected subgroups of the exceptional groups, one row per entry
@@ -216,10 +218,10 @@ def _candidates_so(n: int):
 def _flag(g: GroupType) -> CompletenessFlag:
     """Certified complete when every simple factor lies in the curated
     coverage set; otherwise the reason names each factor outside it."""
+    if is_curated(g):
+        return CompletenessFlag(True, "curated coverage set")
     bad = [s for s, _ in g.counts if s not in CURATED_SIMPLE]
-    if bad:
-        return CompletenessFlag(False, "; ".join(f"outside curated coverage set: {s}" for s in bad))
-    return CompletenessFlag(True, "curated coverage set")
+    return CompletenessFlag(False, "; ".join(f"outside curated coverage set: {s}" for s in bad))
 
 
 def _finish(parent_dim: int, steps) -> tuple[MaximalEntry, ...]:

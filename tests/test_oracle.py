@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from liechain import suites
 from liechain.cli import main
 from liechain.errors import IncompleteDatabaseError
 from liechain.formulas import depth, depth_simple, length
 from liechain.groups import GroupType, SimpleType, iter_groups, parse_group, torus
 from liechain.oracle import Oracle, oracle_depth, oracle_length
-from liechain.subgroups import CURATED_SIMPLE, is_curated, maximal_connected
-from liechain.suites import cross_validate
+from liechain.subgroups import CURATED_SIMPLE, is_curated, maximal_connected, maximal_steps
+from liechain.suites import cross_validate, run_suites
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -29,6 +30,39 @@ def full_type_recursion(g, table):
         values = [full_type_recursion(e.subgroup, table) for e in entries]
         table[g] = (1 + max(l for l, _ in values), 1 + min(d for _, d in values))
     return table[g]
+
+
+def group_fill(g, table):
+    """Memoize (length, depth) of the semisimple part of ``g`` and every node
+    below it, building each child as a ``GroupType`` through
+    ``maximal_steps``: the oracle's search before it walked multiplicity
+    vectors, kept as the reference for that walk."""
+
+    def split(node):
+        z = node.torus_rank
+        return (node.semisimple_part if z else node), z
+
+    def frame(node):
+        h, _ = split(node)
+        assert is_curated(h), node
+        children = [(child, *split(child)) for child, _ in maximal_steps(h)]
+        return h, children, iter(children)
+
+    stack = [frame(g)]
+    while stack:
+        h, children, todo = stack[-1]
+        for child, k, _ in todo:
+            if not k.is_trivial and k not in table:
+                stack.append(frame(child))
+                break
+        else:
+            stack.pop()
+            lengths, depths = [], []
+            for _, k, z in children:
+                l, d = (0, 0) if k.is_trivial else table[k]
+                lengths.append(l + z)
+                depths.append(d + z)
+            table[h] = (1 + max(lengths), 1 + min(depths))
 
 
 @pytest.mark.parametrize("spec,expected", [
@@ -126,6 +160,43 @@ def test_torus_stripped_memo_matches_full_type_recursion():
     assert len(oracle.table) < len(table)
 
 
+def test_vector_fill_matches_group_fill_node_for_node(monkeypatch):
+    # every node the default sweep asks for, from a fresh shared oracle
+    fresh = Oracle()
+    monkeypatch.setattr("liechain.oracle._default", fresh)
+    suites._parts.cache_clear()
+    run_suites(["cd", "depbds"], 60)
+    memo = fresh.table
+    assert len(memo) == 2220
+    reference = {}
+    for h in memo:
+        if h not in reference:
+            group_fill(h, reference)
+    assert reference == memo
+
+
+def test_vector_fill_matches_full_type_recursion_on_curated_powers():
+    # S^k reaches the diagonals, and the steps that add a torus (SU(n) >
+    # S(U(k) x U(n - k)), the Levi subgroups) reach the torus ranks
+    table = {}
+    for s in sorted(CURATED_SIMPLE, key=lambda s: s.sort_key):
+        for k in (1, 2, 3):
+            g = GroupType(0, ((s, k),))
+            assert Oracle().compute(g) == full_type_recursion(g, table), g
+
+
+def test_widening_the_vector_fields_keeps_the_memo():
+    # a query above dim 191 widens every field of the vector memo; what was
+    # found at the narrower width is re-keyed, not recomputed or misread
+    narrow, wide = parse_group("SO(8) x SU(2)^2"), parse_group("SO(8) x SU(2)^64")
+    o = Oracle()
+    o.compute(narrow)
+    assert o.compute(wide) == (9 + 2 * 64, 4 + 64)
+    reference = {}
+    group_fill(wide, reference)
+    assert o.table == reference
+
+
 def test_cli_oracle_large_torus(capsys):
     # the torus rank is added to the value of the semisimple part; no
     # recursion runs through the 20000 torus drops
@@ -145,6 +216,14 @@ def test_import_leaves_recursion_limit_alone():
     assert proc.returncode == 0, proc.stderr
     before, after = proc.stdout.split()
     assert before == after
+
+
+def test_import_builds_no_steps_and_no_memo():
+    # the oracle reads the database's steps on its first search, not at import
+    proc = _python("import liechain, liechain.cli; from liechain import oracle, subgroups; "
+                   "print(subgroups._step_sequence.cache_info().currsize, "
+                   "len(oracle._default.table))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
 
 
 def test_oracle_long_chain_under_default_recursion_limit():
