@@ -55,16 +55,23 @@ def _cmd_dims(args) -> int:
     return 0
 
 
+# the most the degrees of a group's distinct classical factors may sum to
+# before ``maximals`` or ``verify-chain`` generates its subgroup table: about
+# 0.6 s in a cold process on a 2-vCPU virtual machine, and five times the
+# degree of the largest table of the `large-inputs` benchmark workload, SU(3600)
+MAX_TABLE_DEGREES = 20_000
+
+
 def _refuse_large(g: GroupType) -> bool:
     """Report, and return True for, a group whose subgroup database is too
     large to generate: a classical type of degree n has at most 7n/6
     maximal steps, so the degrees of the distinct classical factors, summed,
-    bound the work, and they may not exceed the cap the parser puts on S^k."""
+    bound the work, and they may not exceed ``MAX_TABLE_DEGREES``."""
     degrees = sum(s.degree for s, _ in g.counts if s.is_classical)
-    if degrees <= MAX_POWER_FACTORS:
+    if degrees <= MAX_TABLE_DEGREES:
         return False
     print(f"error: {g} has classical degrees summing to {degrees}, above the "
-          f"{MAX_POWER_FACTORS} a subgroup table may take", file=sys.stderr)
+          f"{MAX_TABLE_DEGREES} a subgroup table may take", file=sys.stderr)
     return True
 
 

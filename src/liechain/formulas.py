@@ -287,24 +287,38 @@ def check_dimlen(g: GroupType) -> list[Check]:
 
 
 # The radical checks below depend only on a few integers of the group, and a
-# sweep over many groups meets each combination many times; each bound and
-# each verdict is built once per distinct input, and a bound is rendered only
-# for a Check.  Bounded so a long-lived process stays small.
+# sweep over many groups meets each combination many times.  Each verdict is
+# an integer comparison with an exact integer threshold, computed once per
+# distinct input: l >= beta (sqrt(dim) - xi) iff l >= ceil(beta (sqrt(dim) - xi))
+# for an integer l, and dim <= (beta^-1 (2cd + 2) + alpha)^2 iff dim is at
+# most its floor.  The floor and ceiling are exact (``QuadExpr.floor``): a
+# bound with an irrational part is never an integer, since 1 and the square
+# roots of distinct squarefree integers are linearly independent over Q, so
+# refining its interval until both ends have one floor terminates; a rational
+# bound, such as beta (sqrt(248) - alpha) = 20 at E8, is floored exactly.  A
+# bound is rendered only for a Check.  Bounded so a long-lived process stays
+# small.
 _VERDICT_CACHE_SIZE = 4096
 
 # the simple families whose square-root bound subtracts alpha instead of 1
 _XI_ALPHA_FAMILIES = ("E6", "E7", "E8")
 
 
+# beta * xi, for xi = alpha and for xi = 1
+_BETA_XI = {True: BETA * ALPHA, False: BETA}
+
+
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def _sqrt_bound(dim: int, xi_is_alpha: bool) -> QuadExpr:
-    """beta * (sqrt(dim) - xi), with xi = alpha or 1."""
-    return BETA * (QuadExpr.sqrt(dim) - (ALPHA if xi_is_alpha else 1))
+    """beta * (sqrt(dim) - xi), with xi = alpha or 1, built as
+    (5/4) sqrt(2 dim) - beta xi."""
+    return QuadExpr.sqrt(2 * dim, Fraction(5, 4)) - _BETA_XI[xi_is_alpha]
 
 
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
-def _sqrt_bound_holds(total: int, dim: int, xi_is_alpha: bool) -> bool:
-    return QuadExpr.rational(total) >= _sqrt_bound(dim, xi_is_alpha)
+def _sqrt_threshold(dim: int, xi_is_alpha: bool) -> int:
+    """The least length that meets ``_sqrt_bound(dim, xi_is_alpha)``."""
+    return _sqrt_bound(dim, xi_is_alpha).ceil()
 
 
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
@@ -315,18 +329,19 @@ def _quad_cd_bound(cd_low: int) -> QuadExpr:
 
 
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
-def _quad_cd_holds(cd_low: int, dim_ss: int) -> bool:
-    return QuadExpr.rational(dim_ss) <= _quad_cd_bound(cd_low)
+def _quad_cd_limit(cd_low: int) -> int:
+    """The largest dimension within ``_quad_cd_bound(cd_low)``."""
+    return _quad_cd_bound(cd_low).floor()
 
 
 def sqrt_verdicts(z: int, counts: tuple, l_ss: int, dim_ss: int) -> tuple[bool, ...]:
     """Whether each check of ``check_sqrt_lower_bound`` passes at
     G = H x T^z, in its order, from the pairs, length and dimension of H."""
     total, dim = l_ss + z, dim_ss + z
-    out = (_sqrt_bound_holds(total, dim, True),)
+    out = (total >= _sqrt_threshold(dim, True),)
     lone = _lone_pair(z, counts)
     if lone is not None and lone[1] == 1:
-        out += (_sqrt_bound_holds(total, dim, lone[0].family in _XI_ALPHA_FAMILIES),)
+        out += (total >= _sqrt_threshold(dim, lone[0].family in _XI_ALPHA_FAMILIES),)
     return out
 
 
@@ -419,14 +434,19 @@ def smalll_deficit(ns: Sequence[int]) -> QuadExpr:
 
 
 def smalll_deficit_negative(ns: Sequence[int]) -> bool:
-    """Whether ``smalll_deficit(ns)`` is negative, decided in integers.
+    """Whether ``smalll_deficit(ns)`` is negative, decided in integers."""
+    return smalll_sums_negative(*_smalll_sums(ns))
 
-    With S = sum n_i, Q = sum n_i(n_i-1) and R = sum_{i>=2} n_i, four times
-    the deficit is A - 5 sqrt(Q) - 4 sqrt(R) with A = 5S - 7k >= 28k > 0,
-    as every n_i >= 7.  Both sides of A < 5 sqrt(Q) + 4 sqrt(R) are then
-    nonnegative, so squaring keeps the order: it holds iff
-    B = A^2 - 25Q - 16R < 40 sqrt(QR), that is iff B < 0 or B^2 < 1600 QR."""
-    total, q, r, k = _smalll_sums(ns)
+
+def smalll_sums_negative(total: int, q: int, r: int, k: int) -> bool:
+    """Whether the deficit of a valid tuple is negative, from its sums
+    S = sum n_i, Q = sum n_i(n_i-1), R = sum_{i>=2} n_i and its size k.
+
+    Four times the deficit is A - 5 sqrt(Q) - 4 sqrt(R) with
+    A = 5S - 7k >= 28k > 0, as every n_i >= 7.  Both sides of
+    A < 5 sqrt(Q) + 4 sqrt(R) are then nonnegative, so squaring keeps the
+    order: it holds iff B = A^2 - 25Q - 16R < 40 sqrt(QR), that is iff
+    B < 0 or B^2 < 1600 QR."""
     a = 5 * total - 7 * k
     b = a * a - 25 * q - 16 * r
     return b < 0 or b * b < 1600 * q * r
@@ -449,7 +469,7 @@ def lcd_verdicts(z: int, counts: tuple, l_ss: int, dim_ss: int, cd_low: int) -> 
     """Whether each check of ``check_lcd`` passes at G = H x T^z, in its
     order, from the pairs, length and dimension of H and the lower end of
     the refined cd(G)."""
-    out = (l_ss <= 2 * cd_low + 2, _quad_cd_holds(cd_low, dim_ss))
+    out = (l_ss <= 2 * cd_low + 2, dim_ss <= _quad_cd_limit(cd_low))
     lone = _lone_pair(z, counts)
     if lone is not None:
         s, k = lone

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -136,6 +136,30 @@ class QuadExpr:
                 hi += c * root_lo
         return lo, hi
 
+    def _scaled(self) -> tuple[int, list[tuple[int, int]]]:
+        """(den, [(m, a)]): the terms as integers a = c * den over the
+        common denominator den of the coefficients."""
+        den = lcm(*(c.denominator for _, c in self.terms))
+        return den, [(m, c.numerator * (den // c.denominator)) for m, c in self.terms]
+
+    @staticmethod
+    def _int_bounds(scaled: list[tuple[int, int]], prec: int) -> tuple[int, int]:
+        """``bounds(prec)`` times den * 2**prec, in integers."""
+        lo = hi = 0
+        for m, a in scaled:
+            if m == 1:
+                lo += a << prec
+                hi += a << prec
+                continue
+            s = isqrt(m << (2 * prec))
+            if a >= 0:
+                lo += a * s
+                hi += a * (s + 1)
+            else:
+                lo += a * (s + 1)
+                hi += a * s
+        return lo, hi
+
     def sign(self) -> int:
         """Exact sign.  Same decision as comparing ``bounds(prec)`` with 0 at
         prec = 16, 32, ..., but over the terms scaled to integers by their
@@ -145,29 +169,39 @@ class QuadExpr:
         if self.is_rational:
             q = self.terms[0][1]
             return (q > 0) - (q < 0)
-        den = lcm(*(c.denominator for _, c in self.terms))
-        scaled = [(m, c.numerator * (den // c.denominator)) for m, c in self.terms]
+        _, scaled = self._scaled()
         prec = 16
         while prec <= 1 << 20:
-            lo = hi = 0
-            for m, a in scaled:
-                if m == 1:
-                    lo += a << prec
-                    hi += a << prec
-                    continue
-                s = isqrt(m << (2 * prec))
-                if a >= 0:
-                    lo += a * s
-                    hi += a * (s + 1)
-                else:
-                    lo += a * (s + 1)
-                    hi += a * s
+            lo, hi = self._int_bounds(scaled, prec)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             prec *= 2
         raise ArithmeticError(f"sign of {self} undecided at limit precision")
+
+    def floor(self) -> int:
+        """Exact floor.  A rational value is floored directly.  An irrational
+        one lies strictly inside every ``bounds(prec)`` interval and is no
+        integer (1 and the square roots of distinct squarefree integers are
+        linearly independent over Q), so raising the precision until both
+        ends have the same floor terminates."""
+        if self.is_rational:
+            return floor(self.terms[0][1]) if self.terms else 0
+        den, scaled = self._scaled()
+        prec = 16
+        while prec <= 1 << 20:
+            lo, hi = self._int_bounds(scaled, prec)
+            unit = den << prec
+            low = lo // unit
+            if low == hi // unit:
+                return low
+            prec *= 2
+        raise ArithmeticError(f"floor of {self} undecided at limit precision")
+
+    def ceil(self) -> int:
+        """Exact ceiling: minus the floor of the negation."""
+        return -(-self).floor()
 
     def __eq__(self, other) -> bool:
         o = self._as_expr(other)

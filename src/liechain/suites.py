@@ -12,13 +12,13 @@ that decides whether a depth is exact and when the oracle is asked for
 one; the record keeps its answer for H, and ``computed_*`` and
 ``chains.min_chain`` ask it too.  A sweep decides each part from its
 record in integers, with the same verdict functions the
-``formulas.check_*`` checks take ``passed`` from (cached radical verdicts
-for ``sqrt`` and ``lcd``).  A part is decided at the representatives H
-(z = 0) and H x T (z = 1), or at T for the tori; when they all pass,
-every torus rank of the range passes, and no Check is built.  When one
-fails or is unresolved, every H x T^z of the range goes through the
-per-group check in order, so failures are rendered and listed exactly as a
-group-by-group sweep lists them.
+``formulas.check_*`` checks take ``passed`` from (``sqrt`` and ``lcd``
+compare with cached exact integer thresholds).  A part is decided at the
+representatives H (z = 0) and H x T (z = 1), or at T for the tori; when
+they all pass, every torus rank of the range passes, and no Check is
+built.  When one fails or is unresolved, every H x T^z of the range goes
+through the per-group check in order, so failures are rendered and listed
+exactly as a group-by-group sweep lists them.
 
 Why a pass at z = 1 is a pass at every z >= 1.  Let G = H x T^z.  Then
 l(G) = L + z, dim G = D + z, rank G = rank H + z and G' = H.  The
@@ -69,7 +69,7 @@ from .formulas import (
     length,
     length_complex_semisimple,
     length_simple,
-    smalll_deficit_negative,
+    smalll_sums_negative,
     sqrt_verdicts,
 )
 from .groups import GroupType, SimpleType, iter_semisimple, iter_simple_types, simple
@@ -274,16 +274,23 @@ def suite_sqrt(max_dim: int) -> list[Check]:
 
 def suite_smalll(max_dim: int) -> list[Check]:
     """Orthogonal-product deficit: nonnegative on the whole tuple range
-    except exactly at (n_1, k) = (7, 2)."""
+    except exactly at (n_1, k) = (7, 2).  Each tuple is decided from its
+    sums, built for all tails (n_2, ..., n_k) of one n_1 and k at once."""
     del max_dim  # fixed range
     negatives: list[tuple[int, ...]] = []
     checked = 0
     for k in (2, 3, 4):
         for n1 in range(7, 21):
-            for rest in itertools.product(range(7, n1 + 1), repeat=k - 1):
-                checked += 1
-                if smalll_deficit_negative((n1, *rest)):
+            entries = range(7, n1 + 1)
+            # (R, Q - n_1(n_1-1)) of each tail, in the order of the product
+            sums = [(0, 0)]
+            for _ in range(k - 1):
+                sums = [(r + n, q + n * (n - 1)) for r, q in sums for n in entries]
+            q1 = n1 * (n1 - 1)
+            for rest, (r, q) in zip(itertools.product(entries, repeat=k - 1), sums):
+                if smalll_sums_negative(n1 + r, q1 + q, r, k):
                     negatives.append((n1, *rest))
+            checked += len(sums)
     expected = [ns for ns in negatives if not (ns[0] == 7 and len(ns) == 2)]
     return [Check(
         "product-length deficit nonnegative except exactly at (n_1, k) = (7, 2)",
@@ -433,6 +440,13 @@ def suite_tables(max_dim: int) -> list[Check]:
     return out
 
 
+def meets_uniform_floor(l: int, dim: int) -> bool:
+    """l >= beta sqrt(dim) - 9/8, in integers.  For l >= 0 both sides of
+    l + 9/8 >= beta sqrt(dim) are nonnegative and beta^2 = 25/8, so squaring
+    keeps the order: it holds iff (8l + 9)^2 >= 200 dim."""
+    return (8 * l + 9) ** 2 >= 200 * dim
+
+
 def suite_lendim(max_dim: int) -> list[Check]:
     """Radical length-vs-dimension formulas: exact agreement, the uniform
     floor, and the large-degree ratio limits."""
@@ -443,8 +457,7 @@ def suite_lendim(max_dim: int) -> list[Check]:
             continue
         if lendim_formula(s) != QuadExpr.rational(length_simple(s)):
             bad.append(str(s))
-        floor = QuadExpr.sqrt(s.dim, Fraction(5, 4)) * QuadExpr.sqrt(Fraction(1, 2)) - Fraction(9, 8)
-        if not QuadExpr.rational(length_simple(s)) >= floor:
+        if not meets_uniform_floor(length_simple(s), s.dim):
             floor_bad.append(str(s))
     out = [
         _verdict("radical formula reproduces the classical length exactly",

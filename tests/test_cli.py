@@ -121,7 +121,9 @@ def test_database_work_over_the_degree_cap_is_refused_at_once(tmp_path, capsys):
     # before it reached SO(3000000)
     path = tmp_path / "chain.txt"
     path.write_text("SU(3000000)\nSO(3000000)\n1\n", encoding="utf-8")
+    # SU(100000) alone would take about 3 s and 90 MB to tabulate
     for argv in (("maximals", "SU(99999999)"), ("--json", "maximals", "SU(99999999)"),
+                 ("maximals", "SU(100000)"), ("maximals", "SU(3600) x SU(16401)"),
                  ("verify-chain", str(path))):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)

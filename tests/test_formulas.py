@@ -7,6 +7,10 @@ import pytest
 from liechain.errors import MalformedTypeError
 from liechain.formulas import (
     BoundsOrExact,
+    _quad_cd_bound,
+    _quad_cd_limit,
+    _sqrt_bound,
+    _sqrt_threshold,
     chain_difference,
     check_dimlen,
     check_lcd,
@@ -26,7 +30,7 @@ from liechain.formulas import (
     smalll_deficit_negative,
 )
 from liechain.groups import SimpleType, iter_simple_types, parse_group, simple
-from liechain.radicals import QuadExpr
+from liechain.radicals import ALPHA, BETA, BETA_INV, QuadExpr
 from liechain.suites import is_published_cd_one
 
 
@@ -254,3 +258,25 @@ def test_small_depth_classification():
             twos.append(str(g))
     assert ones == ["T"]
     assert sorted(twos) == ["SU(2)", "T^2"]
+
+
+def test_sqrt_threshold_against_direct_comparisons():
+    # the least integer at or above beta (sqrt(dim) - xi), for both xi,
+    # checked with QuadExpr comparisons built apart from the threshold
+    for xi_is_alpha, xi in ((True, ALPHA), (False, QuadExpr.rational(1))):
+        for dim in range(1, 401):
+            bound = BETA * (QuadExpr.sqrt(dim) - xi)
+            assert _sqrt_bound(dim, xi_is_alpha) == bound
+            t = _sqrt_threshold(dim, xi_is_alpha)
+            assert QuadExpr.rational(t) >= bound and not QuadExpr.rational(t - 1) >= bound
+    # E8 attains beta (sqrt(248) - alpha) = 20 exactly: l = 20 passes, 19 fails
+    assert _sqrt_threshold(248, True) == 20 == length_simple(SimpleType("E8"))
+
+
+def test_quad_cd_limit_against_direct_comparisons():
+    for cd in range(0, 101):
+        root = BETA_INV * (2 * cd + 2) + ALPHA
+        bound = root * root
+        assert _quad_cd_bound(cd) == bound
+        m = _quad_cd_limit(cd)
+        assert QuadExpr.rational(m) <= bound and not QuadExpr.rational(m + 1) <= bound

@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liechain.formulas import length, smalll_deficit
 from liechain.groups import parse_group
@@ -140,3 +140,60 @@ def test_sign_boundary_cases():
     for ns, expected in (((7, 7), -1), ((8, 7), 1), ((7, 7, 7), 1)):
         deficit = smalll_deficit(ns)
         assert deficit.sign() == _bounds_sign(deficit) == expected, ns
+
+
+@given(_radical_sums)
+def test_floor_and_ceil_within_the_bounds(x):
+    f, c = x.floor(), x.ceil()
+    for prec in (8, 16, 64):
+        lo, hi = x.bounds(prec)
+        assert floor(lo) <= f <= floor(hi)
+        assert ceil(lo) <= c <= ceil(hi)
+    # exact: f <= x < f + 1 and c - 1 < x <= c, equal only when x is an integer
+    assert (x - f).sign() >= 0 > (x - (f + 1)).sign()
+    assert (x - c).sign() <= 0 < (x - (c - 1)).sign()
+    assert (f == c) == (x - f == 0)
+
+
+@given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=-1, max_value=1))
+def test_floor_near_an_integer(n, digits, offset):
+    # sqrt(n) shifted by a rational approximant to within about 10**-digits
+    # of an integer, so both ends of the interval need rising precision
+    scale = 10**digits
+    shift = Fraction(isqrt(n * scale * scale) + offset, scale) - 7
+    x = QuadExpr.sqrt(n) - shift
+    assert x.floor() == _bounds_floor(x)
+    assert x.ceil() == -_bounds_floor(-x)
+
+
+def _bounds_floor(x: QuadExpr) -> int:
+    """Reference: the common floor of the Fraction interval of ``bounds``
+    at rising precision, or the floor of a rational value."""
+    if x.is_rational:
+        return floor(x.terms[0][1]) if x.terms else 0
+    prec = 16
+    while True:
+        lo, hi = x.bounds(prec)
+        if floor(lo) == floor(hi):
+            return floor(lo)
+        prec *= 2
+
+
+def test_floor_at_exact_integers():
+    assert (BETA * (QuadExpr.sqrt(248) - ALPHA)).floor() == 20  # E8: rational 20
+    assert (BETA * (QuadExpr.sqrt(248) - ALPHA)).ceil() == 20
+    assert QuadExpr.rational(Fraction(-7, 2)).floor() == -4
+    assert QuadExpr.rational(Fraction(-7, 2)).ceil() == -3
+    assert QuadExpr().floor() == QuadExpr().ceil() == 0
+    assert QuadExpr.sqrt(2).floor() == 1 and (-QuadExpr.sqrt(2)).floor() == -2
+
+
+@settings(max_examples=40, deadline=None)
+@given(_radical_sums)
+def test_floor_against_sympy(x):
+    sympy = pytest.importorskip("sympy")
+    value = sum((sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(m)
+                 for m, c in x.terms), sympy.Integer(0))
+    assert x.floor() == int(sympy.floor(value))
+    assert x.ceil() == int(sympy.ceiling(value))

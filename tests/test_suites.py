@@ -2,11 +2,12 @@ import hashlib
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from liechain import suites
+from liechain import formulas, suites
 from liechain.chains import min_chain
 from liechain.cli import main
 from liechain.formulas import (
@@ -19,8 +20,9 @@ from liechain.formulas import (
     is_length_eq_depth,
     length,
 )
-from liechain.groups import GroupType, SimpleType, iter_groups, iter_semisimple
+from liechain.groups import GroupType, SimpleType, iter_groups, iter_semisimple, iter_simple_types
 from liechain.oracle import oracle_depth
+from liechain.radicals import BETA, QuadExpr
 from liechain.subgroups import is_curated
 from liechain.suites import (
     DEFAULT_MAX_DIM,
@@ -285,3 +287,46 @@ def test_exact_depth_decisions_match_an_independent_rule():
         assert (min_chain(g) is None) == only_bounded, g
         bounded += only_bounded
     assert bounded == 112 + 92  # 92 of the 112 parts have room for z = 1
+
+
+def test_uniform_floor_is_tight_at_so_4m_plus_3():
+    # l >= beta sqrt(dim) - 9/8 holds for every classical type of degree
+    # <= 300, and SO(4m+3) meets it within 1: l - 1 falls below it there
+    for s in iter_simple_types(max_degree=300):
+        if not s.is_classical:
+            continue
+        l = formulas.length_simple(s)
+        floor = BETA * QuadExpr.sqrt(s.dim) - Fraction(9, 8)
+        assert suites.meets_uniform_floor(l, s.dim), s
+        assert QuadExpr.rational(l) >= floor, s
+        if s.family == "SO" and s.degree % 4 == 3:
+            assert not suites.meets_uniform_floor(l - 1, s.dim), s
+            assert not QuadExpr.rational(l - 1) >= floor, s
+    so7 = SimpleType("SO", 7)
+    assert float(QuadExpr.rational(7) - BETA * QuadExpr.sqrt(so7.dim) + Fraction(9, 8)) < 0.025
+
+
+def test_passing_radical_sweeps_decide_in_integers(monkeypatch):
+    # the tuples of smalll are decided from their sums, never validated one
+    # by one; the sqrt and lcd sweeps ask QuadExpr for at most one sign per
+    # distinct threshold input, not one per (length, dimension) pair
+    sums = []
+    validate = formulas._smalll_sums
+    monkeypatch.setattr(formulas, "_smalll_sums", lambda ns: sums.append(ns) or validate(ns))
+    (check,) = suites.suite_smalll(60)
+    assert check.passed and check.inputs["tuples_checked"] == 12145
+    assert check.inputs["negatives"] == [[7, 7]] and sums == []
+
+    signs = []
+    sign = QuadExpr.sign
+    monkeypatch.setattr(QuadExpr, "sign", lambda x: signs.append(x) or sign(x))
+    # the elementary inequalities on the rational grid stay exact QuadExpr
+    # comparisons; only the enumeration sweep is counted
+    monkeypatch.setattr(suites, "elem_inequalities", lambda x, y: (None, None, None))
+    for suite, threshold in ((suites.suite_sqrt, formulas._sqrt_threshold),
+                             (suites.suite_lcd, formulas._quad_cd_limit)):
+        threshold.cache_clear()
+        signs.clear()
+        assert all(c.passed for c in suite(60))
+        inputs = threshold.cache_info().currsize
+        assert 0 < inputs and len(signs) <= inputs, suite
