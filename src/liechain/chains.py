@@ -5,6 +5,7 @@ arbitrary user-supplied chains against the subgroup database."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import MalformedTypeError
@@ -17,8 +18,11 @@ from .subgroups import (
     EmbeddingKind,
     is_maximal_step,
     maximal_connected,
-    maximal_steps,
+    simple_step_kind,
 )
+
+Step = tuple[GroupType, EmbeddingKind]
+_TORUS_DROP = EmbeddingKind.torus_drop()
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,10 +38,10 @@ class Chain:
             raise MalformedTypeError("chain must end at the trivial group")
         if len(self.steps) != len(self.nodes) - 1:
             raise MalformedTypeError("need exactly one step per adjacent pair")
-        for parent, child in zip(self.nodes, self.nodes[1:]):
-            if child.dim >= parent.dim:
+        for i, (above, below) in enumerate(pairwise(g.dim for g in self.nodes)):
+            if below >= above:
                 raise MalformedTypeError(
-                    f"chain not strictly descending at {parent} > {child}")
+                    f"chain not strictly descending at {self.nodes[i]} > {self.nodes[i + 1]}")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -59,44 +63,52 @@ class Chain:
 
 # -- witness chains ------------------------------------------------------------
 
-def _descend(g: GroupType, pick: Callable[[GroupType], GroupType]) -> Chain:
+def _descend(g: GroupType, pick: Callable[[GroupType], Step]) -> Chain:
     """The chain from ``g`` down to the trivial group that takes the child
-    ``pick`` chooses at each node, with the database kind of each step."""
+    ``pick`` chooses at each node, with the database kind of that step."""
     nodes, steps = [g], []
     while not g.is_trivial:
-        child = pick(g)
-        kind = next((k for step, k in maximal_steps(g) if step == child), None)
-        assert kind is not None, f"constructed step {g} > {child} not in database"
-        nodes.append(child)
+        g, kind = pick(g)
+        nodes.append(g)
         steps.append(kind)
-        g = child
     return Chain(tuple(nodes), tuple(steps))
 
 
-def _max_pick(g: GroupType) -> GroupType:
+def _factor_step(g: GroupType, step: GroupType) -> Step:
+    """The step of ``g`` that replaces one copy of its first factor S by
+    ``step``, a step of S, with its kind from the step sequence of S."""
+    s = g.counts[0][0]
+    kind = simple_step_kind(s, step)
+    assert kind is not None, f"constructed step {s} > {step} not in database"
+    if g.is_simple:
+        return step, kind
+    return g.replace_one(s, step), EmbeddingKind.factor(0, kind)
+
+
+def _max_pick(g: GroupType) -> Step:
     """Any torus drops first, then the first factor takes its longest step."""
     if g.torus_rank > 0:
-        return g.with_torus(-1)
-    s = g.counts[0][0]
-    return g.replace_one(s, max_step_simple(s))
+        return g.with_torus(-1), _TORUS_DROP
+    return _factor_step(g, max_step_simple(g.counts[0][0]))
 
 
-def _min_pick(g: GroupType) -> GroupType:
+def _min_pick(g: GroupType) -> Step:
     """For S^k x T^z: the diagonal collapses S^k to S, then S takes its
     shortest steps with the torus kept, and the torus drops last."""
     if not g.counts:
-        return GroupType(g.torus_rank - 1)
+        return g.with_torus(-1), _TORUS_DROP
     s, k = g.counts[0]
     if k > 1:
-        return g.drop_one(s)
-    return g.replace_one(s, min_step_simple(s))
+        return g.drop_one(s), EmbeddingKind.diagonal(s)
+    return _factor_step(g, min_step_simple(s))
 
 
-def _curated_pick(g: GroupType) -> GroupType:
+def _curated_pick(g: GroupType) -> Step:
     """The first database entry whose brute-force depth is one less."""
     want = oracle_depth(g) - 1
     entries, _ = maximal_connected(g)
-    return next(e.subgroup for e in entries if oracle_depth(e.subgroup) == want)
+    entry = next(e for e in entries if oracle_depth(e.subgroup) == want)
+    return entry.subgroup, entry.kind
 
 
 def max_chain(g: GroupType) -> Chain:
@@ -156,12 +168,10 @@ def verify_chain(chain: Union[Chain, Sequence[GroupType]]) -> VerifyReport:
         return _invalid((), None, "empty chain")
     if not nodes[-1].is_trivial:
         return _invalid((), None, "chain must end at the trivial group")
-    for i, (parent, child) in enumerate(zip(nodes, nodes[1:])):
-        if child.dim >= parent.dim:
+    for i, (above, below) in enumerate(pairwise(g.dim for g in nodes)):
+        if below >= above:
             return _invalid((), i, f"not strictly descending at step {i}")
-    verdicts = []
-    for parent, child in zip(nodes, nodes[1:]):
-        verdicts.append(is_maximal_step(parent, child))
+    verdicts = [is_maximal_step(parent, child) for parent, child in zip(nodes, nodes[1:])]
     failed = next((i for i, v in enumerate(verdicts) if v == NO), None)
     if failed is not None:
         return _invalid(verdicts, failed, f"step {failed} is not a maximal inclusion")
@@ -173,9 +183,4 @@ def verify_chain(chain: Union[Chain, Sequence[GroupType]]) -> VerifyReport:
 
 def parse_chain_text(text: str) -> list[GroupType]:
     """One group spec per line, descending, trivial group ("1") last."""
-    nodes = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            nodes.append(parse_group(line))
-    return nodes
+    return [parse_group(line) for line in map(str.strip, text.splitlines()) if line]

@@ -94,8 +94,7 @@ def _print_chain(chain: Chain, as_json: bool) -> None:
     if as_json:
         print(json.dumps(chain.to_json()))
     else:
-        for node in chain.nodes:
-            print(node)
+        print("\n".join(map(str, chain.nodes)))
 
 
 def _cmd_chain(args) -> int:
@@ -135,8 +134,9 @@ def _cmd_verify_chain(args) -> int:
     if args.json:
         print(json.dumps(report.to_json()))
     else:
+        names = list(map(str, nodes))
         for i, verdict in enumerate(report.verdicts):
-            print(f"step {i}: {nodes[i]} > {nodes[i + 1]}: {verdict}")
+            print(f"step {i}: {names[i]} > {names[i + 1]}: {verdict}")
         print(f"overall: {report.overall}" + (f" ({report.reason})" if report.reason else ""))
     return 0 if report.ok else 1
 

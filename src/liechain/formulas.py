@@ -94,19 +94,20 @@ def max_step_simple(s: SimpleType) -> GroupType:
     """The maximal subgroup a longest chain of ``s`` steps to; each choice
     satisfies l(child) = l(s) - 1."""
     if s.family == "SU":
-        return canonicalize("SU", s.degree - 1) * torus(1)
+        return canonicalize("SU", s.degree - 1).with_torus(1)
     if s.family == "Sp":
         return canonicalize("Sp", 2) * canonicalize("Sp", s.degree - 2)
     if s.family == "SO":
         return canonicalize("SO", 4) * canonicalize("SO", s.degree - 4)
-    entry = {
-        "G2": simple("SU", 3),
-        "F4": simple("SO", 9),
-        "E6": simple("SO", 10) * torus(1),
-        "E7": simple("SO", 12) * simple("SU", 2),
-        "E8": simple("SO", 16),
-    }
-    return entry[s.family]
+    if s.family == "G2":
+        return canonicalize("SU", 3)
+    if s.family == "F4":
+        return canonicalize("SO", 9)
+    if s.family == "E6":
+        return canonicalize("SO", 10).with_torus(1)
+    if s.family == "E7":
+        return canonicalize("SO", 12) * canonicalize("SU", 2)
+    return canonicalize("SO", 16)  # E8
 
 
 def min_step_simple(s: SimpleType) -> GroupType:

@@ -287,121 +287,104 @@ def canonicalize(family: str, degree: int = 0) -> GroupType:
 MAX_POWER_FACTORS = 10**6
 
 _TOKEN = re.compile(r"\s*([A-Za-z]+[0-9]*|[0-9]+|[()^])")
+_CLASSICAL_NAMES = {"su": "SU", "sp": "Sp", "so": "SO"}
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos == len(text):
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(1), m.start(1)))
+def _token_starts(text: str) -> list[int]:
+    """Where each token of ``text`` starts.  Raises at the first character
+    that starts no token and is not whitespace.  Only a spec that fails to
+    parse needs positions."""
+    starts, pos = [], 0
+    while m := _TOKEN.match(text, pos):
+        starts.append(m.start(1))
         pos = m.end()
-    return tokens
+    rest = text[pos:]
+    if rest.strip():
+        pos = len(text) - len(rest.lstrip())
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    return starts
 
 
-class _Parser:
-    """Recursive descent over:  group := "1" | term (" x " term)*
-    term := atom ("^" INT)?;  atom := family "(" INT ")" | exceptional |
-    "T" ("^" INT)?.  Family names are case-insensitive."""
+def _error(text: str, index: int, message: str) -> ParseError:
+    """``message`` at token ``index``, or at the end of the text past the
+    last token."""
+    starts = _token_starts(text)
+    return ParseError(message, starts[index] if index < len(starts) else len(text))
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, literal: str) -> None:
-        tok, pos = self.next()
-        if tok != literal:
-            raise ParseError(f"expected {literal!r}, found {tok!r}", pos)
-
-    def parse_int(self) -> int:
-        tok, pos = self.next()
-        if tok is None or not tok.isdigit():
-            raise ParseError(f"expected integer, found {tok!r}", pos)
-        return int(tok)
-
-    def parse_group(self) -> GroupType:
-        tok, _ = self.peek()
-        if tok == "1":
-            self.next()
-            tok, pos = self.peek()
-            if tok is not None:
-                raise ParseError("trivial group '1' cannot be combined", pos)
-            return TRIVIAL
-        out = self.parse_term()
-        while True:
-            tok, pos = self.peek()
-            if tok is None:
-                return out
-            if tok.lower() != "x":
-                raise ParseError(f"expected 'x' separator, found {tok!r}", pos)
-            self.next()
-            out = out * self.parse_term()
-
-    def parse_term(self) -> GroupType:
-        atom, had_power = self.parse_atom()
-        tok, pos = self.peek()
-        if tok == "^":
-            if had_power:
-                raise ParseError("repeated '^' exponent", pos)
-            self.next()
-            count = self.parse_int()
-            if count < 1:
-                raise ParseError("exponent must be positive", pos)
-            if sum(k for _, k in atom.counts) * count > MAX_POWER_FACTORS:
-                raise ParseError(
-                    f"power has more than {MAX_POWER_FACTORS} simple factors", pos)
-            return GroupType(atom.torus_rank * count,
-                             tuple((s, k * count) for s, k in atom.counts))
-        return atom
-
-    def parse_atom(self) -> tuple[GroupType, bool]:
-        tok, pos = self.next()
-        if tok is None:
-            raise ParseError("unexpected end of input", pos)
-        name = tok.lower()
-        if name in ("su", "sp", "so"):
-            family = {"su": "SU", "sp": "Sp", "so": "SO"}[name]
-            self.expect("(")
-            degree = self.parse_int()
-            self.expect(")")
-            try:
-                return canonicalize(family, degree), False
-            except MalformedTypeError as exc:
-                raise ParseError(str(exc), pos) from exc
-        if name in ("g2", "f4", "e6", "e7", "e8"):
-            return simple(name.upper()), False
-        if name == "t":
-            tok2, pos2 = self.peek()
-            if tok2 == "^":
-                self.next()
-                rank = self.parse_int()
-                if rank < 1:
-                    raise ParseError("torus rank must be positive", pos2)
-                return torus(rank), True
-            return torus(1), False
-        raise ParseError(f"unknown atom {tok!r}", pos)
+def _integer(text: str, tokens: list, index: int) -> int:
+    tok = tokens[index]
+    if tok is None or not tok.isdigit():
+        raise _error(text, index, f"expected integer, found {tok!r}")
+    return int(tok)
 
 
 def parse_group(text: str) -> GroupType:
-    """Parse a group-spec string like "SU(5) x Sp(6)" or "SO(4)^2 x T^3"."""
-    if not text.strip():
+    """Parse a group-spec string like "SU(5) x Sp(6)" or "SO(4)^2 x T^3".
+
+    Grammar:  group := "1" | term ("x" term)*;  term := atom ("^" INT)?;
+    atom := family "(" INT ")" | exceptional | "T" ("^" INT)?.  Family
+    names and the separator are case-insensitive.  The line is tokenized
+    at once, the terms add up their torus ranks and factor pairs, and the
+    group is built from them once."""
+    chars = len("".join(text.split()))
+    if not chars:
         raise ParseError("empty group spec", 0)
-    return _Parser(text).parse_group()
+    tokens = _TOKEN.findall(text)
+    if sum(map(len, tokens)) != chars:
+        _token_starts(text)  # raises at the character no token covers
+    tokens.append(None)
+    if tokens[0] == "1":
+        if tokens[1] is not None:
+            raise _error(text, 1, "trivial group '1' cannot be combined")
+        return TRIVIAL
+    z, pairs, i = 0, [], 0
+    while True:
+        tok = tokens[i]
+        if tok is None:
+            raise _error(text, i, "unexpected end of input")
+        name, had_power = tok.lower(), False
+        if name in _CLASSICAL_NAMES:
+            if tokens[i + 1] != "(":
+                raise _error(text, i + 1, f"expected '(', found {tokens[i + 1]!r}")
+            degree = _integer(text, tokens, i + 2)
+            if tokens[i + 3] != ")":
+                raise _error(text, i + 3, f"expected ')', found {tokens[i + 3]!r}")
+            try:
+                atom = canonicalize(_CLASSICAL_NAMES[name], degree)
+            except MalformedTypeError as exc:
+                raise _error(text, i, str(exc)) from exc
+            atom_z, atom_pairs, i = atom.torus_rank, atom.counts, i + 4
+        elif name.upper() in _EXCEPTIONAL_DIMS:
+            atom_z, atom_pairs, i = 0, canonicalize(name.upper()).counts, i + 1
+        elif name == "t":
+            atom_z, atom_pairs, i = 1, (), i + 1
+            if tokens[i] == "^":
+                atom_z, had_power = _integer(text, tokens, i + 1), True
+                if atom_z < 1:
+                    raise _error(text, i, "torus rank must be positive")
+                i += 2
+        else:
+            raise _error(text, i, f"unknown atom {tok!r}")
+        if tokens[i] == "^":
+            if had_power:
+                raise _error(text, i, "repeated '^' exponent")
+            count = _integer(text, tokens, i + 1)
+            if count < 1:
+                raise _error(text, i, "exponent must be positive")
+            if sum(k for _, k in atom_pairs) * count > MAX_POWER_FACTORS:
+                raise _error(text, i, f"power has more than {MAX_POWER_FACTORS} simple factors")
+            atom_z *= count
+            atom_pairs = [(s, k * count) for s, k in atom_pairs]
+            i += 2
+        z += atom_z
+        pairs += atom_pairs
+        tok = tokens[i]
+        if tok is None:
+            return GroupType(z, tuple(pairs))
+        if tok.lower() != "x":
+            raise _error(text, i, f"expected 'x' separator, found {tok!r}")
+        i += 1
 
 
 # -- bounded enumeration ------------------------------------------------------

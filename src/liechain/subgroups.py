@@ -8,15 +8,17 @@ their fixed subgroup tables.  Everything is produced as canonical group
 types and deduplicated, so e.g. the SO_4 subgroup of SU_4 and the 2x2 tensor
 subgroup collapse into one SU_2 x SU_2 entry.
 
-The product rule ``maximal_steps(g)`` is the database's one interface, read
-lazily by witness chains and ``is_maximal_step``.  The oracle reads the
-steps of each curated simple type through it once, and applies the same
-rule itself to multiplicity vectors.  Each simple type's steps come from
-its step sequence: generated from the families on demand, deduplicated in
-generation order, and kept as far as generated, so a reader that stops at
-the step it needs generates nothing past it.
-``maximal_connected(g)`` is the sorted, cached table of the steps, read by
-``maximals``, curated shortest chains and the uncached oracle reference.
+The product rule ``maximal_steps(g)`` is the database's one interface.  The
+oracle reads the steps of each curated simple type through it once, and
+applies the same rule itself to multiplicity vectors.  Witness chains and
+``is_maximal_step`` apply it to one step: they read, through
+``simple_step_kind``, the step sequence of the one factor the step changes.
+Each simple type's steps come from its step sequence: generated from the
+families on demand, deduplicated in generation order, and kept as far as
+generated, so a reader that stops at the step it needs generates nothing
+past it.  ``maximal_connected(g)`` is the sorted, cached table of the
+steps, read by ``maximals``, curated shortest chains and the uncached
+oracle reference.
 
 Completeness is only claimed on a curated coverage set (the types whose
 entire downward closure is certified); queries outside it still return
@@ -34,6 +36,7 @@ from .errors import TrivialGroupError
 from .groups import (
     GroupType,
     SimpleType,
+    _canonical,
     canonicalize,
     parse_group,
     simple,
@@ -337,15 +340,47 @@ def maximal_connected(g: GroupType) -> tuple[tuple[MaximalEntry, ...], Completen
     return _finish(g.dim, maximal_steps(g)), _flag(g)
 
 
+def simple_step_kind(s: SimpleType, child: GroupType) -> Optional[EmbeddingKind]:
+    """The kind of the step of the simple group ``s`` to ``child``, read
+    from the step sequence of ``s`` as far as it reaches ``child``; None
+    when ``child`` is not a step of ``s``."""
+    return next((kind for step, kind in _step_sequence(s) if step == child), None)
+
+
 def is_maximal_step(parent: GroupType, child: GroupType) -> str:
     """YES if ``child`` is a known maximal connected subgroup type of
     ``parent``, NO if absent from a certified-complete list, UNKNOWN if
     absent from an incomplete one."""
     if parent.is_trivial:
         return NO  # the trivial group has no proper subgroups
-    if any(step == child for step, _ in maximal_steps(parent)):
+    if _is_step(parent, child):
         return YES
     return NO if is_curated(parent) else UNKNOWN
+
+
+def _is_step(parent: GroupType, child: GroupType) -> bool:
+    """Whether ``maximal_steps(parent)`` yields ``child``, from one
+    factor's steps.  Besides the torus drop, a step replaces one copy of a
+    factor S by a step of S, or by nothing (the diagonal), so S is the one
+    factor the child has fewer copies of, by one."""
+    z = child.torus_rank - parent.torus_rank
+    if child.counts == parent.counts:
+        return z == -1
+    if parent.is_simple:
+        return simple_step_kind(parent.counts[0][0], child) is not None
+    if z < 0:
+        return False
+    change = dict(child.counts)
+    for s, k in parent.counts:
+        change[s] = change.get(s, 0) - k
+    lost = [(s, k) for s, k in change.items() if k < 0]
+    if len(lost) != 1 or lost[0][1] != -1:
+        return False
+    s = lost[0][0]
+    remainder = _canonical(z, tuple((t, k) for t, k in change.items() if k > 0))
+    if remainder.is_trivial:  # the diagonal, when a copy of S is left
+        return len(child.counts) == len(parent.counts)
+    return simple_step_kind(s, remainder) is not None
 
 
 def min_irrep_dim(s: SimpleType) -> int:

@@ -162,13 +162,17 @@ def _cd_holds(p: Part, z: int) -> bool:
     return _depth_is(p.depth, p.length - 1) == is_published_cd_one(p.h)
 
 
+def _block_cd(s: SimpleType, k: int) -> int:
+    """cd(S^k) = k l(S) - depth(S^k), with depth(S^k) = depth(S) + k - 1."""
+    return k * length_simple(s) - depth_simple(s) - k + 1
+
+
 def _superadditive(counts: tuple, cd_lower: int) -> bool:
     """cd(G) >= the sum of cd(S^k) over the homogeneous blocks S^k of G,
     from the lower end of the unrefined cd(G); vacuous for one block."""
     if len(counts) < 2:
         return True
-    return cd_lower >= sum(chain_difference(GroupType(0, (pair,))).exact_value
-                           for pair in counts)
+    return cd_lower >= sum(_block_cd(s, k) for s, k in counts)
 
 
 def _superadditive_holds(p: Part, z: int) -> bool:

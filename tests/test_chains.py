@@ -21,7 +21,7 @@ from liechain.groups import (
     parse_group,
     simple,
 )
-from liechain.subgroups import maximal_connected
+from liechain.subgroups import maximal_connected, maximal_steps
 
 
 def _specs(chain):
@@ -205,6 +205,9 @@ def test_max_chain_property(g):
     assert len(chain) == length(g)
     assert verify_chain(chain).overall in ("valid", "valid-modulo-unknown")
     assert all(p.dim > c.dim for p, c in zip(chain.nodes, chain.nodes[1:]))
+    # each recorded kind is the one a scan of the parent's steps finds
+    for parent, child, kind in zip(chain.nodes, chain.nodes[1:], chain.steps):
+        assert kind == next(k for step, k in maximal_steps(parent) if step == child)
 
 
 @settings(max_examples=30, deadline=None)

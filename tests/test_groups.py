@@ -1,10 +1,12 @@
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liechain.errors import MalformedTypeError, ParseError
 from liechain.groups import (
+    MAX_POWER_FACTORS,
     TRIVIAL,
     GroupType,
     SimpleType,
@@ -127,6 +129,166 @@ def test_parse_errors_carry_position():
         parse_group("SU(2) ? T")
     except ParseError as exc:
         assert exc.position == 6
+
+
+class _ReferenceParser:
+    """The recursive-descent parser that ``parse_group`` replaced, kept as
+    the reference: it tokenizes one match at a time, walks the tokens
+    through method calls, and multiplies the group out term by term."""
+
+    TOKEN = re.compile(r"\s*([A-Za-z]+[0-9]*|[0-9]+|[()^])")
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = self.tokenize(text)
+        self.i = 0
+
+    @classmethod
+    def tokenize(cls, text):
+        tokens = []
+        pos = 0
+        while pos < len(text):
+            m = cls.TOKEN.match(text, pos)
+            if not m:
+                while pos < len(text) and text[pos].isspace():
+                    pos += 1
+                if pos == len(text):
+                    break
+                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            tokens.append((m.group(1), m.start(1)))
+            pos = m.end()
+        return tokens
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, len(self.text))
+
+    def next(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expect(self, literal):
+        tok, pos = self.next()
+        if tok != literal:
+            raise ParseError(f"expected {literal!r}, found {tok!r}", pos)
+
+    def parse_int(self):
+        tok, pos = self.next()
+        if tok is None or not tok.isdigit():
+            raise ParseError(f"expected integer, found {tok!r}", pos)
+        return int(tok)
+
+    def parse_group(self):
+        tok, _ = self.peek()
+        if tok == "1":
+            self.next()
+            tok, pos = self.peek()
+            if tok is not None:
+                raise ParseError("trivial group '1' cannot be combined", pos)
+            return TRIVIAL
+        out = self.parse_term()
+        while True:
+            tok, pos = self.peek()
+            if tok is None:
+                return out
+            if tok.lower() != "x":
+                raise ParseError(f"expected 'x' separator, found {tok!r}", pos)
+            self.next()
+            out = out * self.parse_term()
+
+    def parse_term(self):
+        atom, had_power = self.parse_atom()
+        tok, pos = self.peek()
+        if tok == "^":
+            if had_power:
+                raise ParseError("repeated '^' exponent", pos)
+            self.next()
+            count = self.parse_int()
+            if count < 1:
+                raise ParseError("exponent must be positive", pos)
+            if sum(k for _, k in atom.counts) * count > MAX_POWER_FACTORS:
+                raise ParseError(
+                    f"power has more than {MAX_POWER_FACTORS} simple factors", pos)
+            return GroupType(atom.torus_rank * count,
+                             tuple((s, k * count) for s, k in atom.counts))
+        return atom
+
+    def parse_atom(self):
+        tok, pos = self.next()
+        if tok is None:
+            raise ParseError("unexpected end of input", pos)
+        name = tok.lower()
+        if name in ("su", "sp", "so"):
+            family = {"su": "SU", "sp": "Sp", "so": "SO"}[name]
+            self.expect("(")
+            degree = self.parse_int()
+            self.expect(")")
+            try:
+                return canonicalize(family, degree), False
+            except MalformedTypeError as exc:
+                raise ParseError(str(exc), pos) from exc
+        if name in ("g2", "f4", "e6", "e7", "e8"):
+            return simple(name.upper()), False
+        if name == "t":
+            tok2, pos2 = self.peek()
+            if tok2 == "^":
+                self.next()
+                rank = self.parse_int()
+                if rank < 1:
+                    raise ParseError("torus rank must be positive", pos2)
+                return torus(rank), True
+            return torus(1), False
+        raise ParseError(f"unknown atom {tok!r}", pos)
+
+
+def _reference_parse(text):
+    if not text.strip():
+        raise ParseError("empty group spec", 0)
+    return _ReferenceParser(text).parse_group()
+
+
+def _outcome(parse, text):
+    """The group ``parse`` builds from ``text``, or its error's message and
+    position."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+_ALPHABET = ["SU", "sp", "So", "G2", "e8", "T", "x", "X", "(", ")", "^",
+             "0", "1", "7", "36", " ", "  ", "?", ","]
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=14).map("".join))
+def test_parser_matches_the_reference_parser(text):
+    assert _outcome(parse_group, text) == _outcome(_reference_parse, text)
+
+
+# well-formed terms, so that the drawn specs mostly parse or fail late
+_TERMS = ["SU(2)", "su(7)", "Sp(36)", "SO(1)", "so(4)", "SO(2)", "Sp(2)", "Sp(7)",
+          "SU(0)", "G2", "e8", "T", "T^7", "T^0", "SU(3)^2", "SO(4)^36", "E8^0", "T^1^7"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_TERMS), min_size=1, max_size=5),
+       st.lists(st.sampled_from([" x ", "X", " x", "x ", " ", "  x  ", " ? ", ","]),
+                min_size=4, max_size=4),
+       st.sampled_from(["", " ", "1 x ", "\t", " 1"]), st.sampled_from(["", " ", " x", "^", "\n"]))
+def test_parser_matches_the_reference_parser_on_terms(terms, seps, head, tail):
+    text = head + terms[0] + "".join(s + t for s, t in zip(seps, terms[1:])) + tail
+    assert _outcome(parse_group, text) == _outcome(_reference_parse, text)
+
+
+def test_parser_matches_the_reference_parser_on_fixed_specs():
+    for text in ["SU(2", "SU 2)", "SU(2) y SU(3)", "1 x SU(2)", "", "   ", "T^0",
+                 "SU(2)^0", "Sp(3)", "Q8", "SU(2) x", "T^2^3", "SU(2) ? T", "SU(2)?",
+                 "  ?", "1", " 1 ", "1 1", "SU2", "x", "SO(4)^500001", "SU(2)^1000000",
+                 "SU(5) x Sp(6) x SU(5) x T x T^3", "SO(2)^99999999999999999999",
+                 "Sp(36)^2 x SO(18)^3 x Sp(26)^3", "su(2)\tX\nsp(4)", "SU(2) x (T)",
+                 "SU(\u00b2)", "SU(2)\u3000x T", "E8^", "T^", "SU()", "SU(2)^x"]:
+        assert _outcome(parse_group, text) == _outcome(_reference_parse, text), text
 
 
 def test_factor_order_normalized():

@@ -2,13 +2,14 @@ import hashlib
 import json
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
-from liechain import subgroups
+from liechain import chains, subgroups
 from liechain.chains import max_chain, min_chain, verify_chain
 from liechain.errors import TrivialGroupError
-from liechain.formulas import f_classical, length_simple
+from liechain.formulas import f_classical, length, length_simple
 from liechain.groups import (
     TRIVIAL,
     GroupType,
@@ -255,6 +256,67 @@ _SCAN = [simple("SU", n) for n in range(2, 13)] + [
     simple("SO", n) for n in range(7, 13)] + [
     simple(f) for f in ("G2", "F4", "E6", "E7", "E8")] + [
     parse_group("SU(2)^3 x T"), parse_group("SO(8) x Sp(4) x T^2")]
+
+
+def _scan_verdict(parent, child):
+    """The verdict of a membership scan over every step of ``parent``: the
+    reference for ``is_maximal_step``, which reads one factor's steps."""
+    if parent.is_trivial:
+        return NO
+    if any(step == child for step, _ in maximal_steps(parent)):
+        return YES
+    return NO if is_curated(parent) else UNKNOWN
+
+
+def test_step_check_matches_the_membership_scan():
+    verdicts = Counter()
+    for parent in _SCAN + list(iter_groups(14)):
+        steps = [step for step, _ in maximal_steps(parent)]
+        # the steps, then two steps down, then a step with one more torus rank
+        children = list(steps)
+        for step in steps:
+            if not step.is_trivial:
+                children += [sub for sub, _ in maximal_steps(step)]
+            children.append(step.with_torus(1))
+        for child in children:
+            verdict = is_maximal_step(parent, child)
+            assert verdict == _scan_verdict(parent, child), (parent, child)
+            verdicts[verdict] += 1
+    assert verdicts == {YES: 475, NO: 597, UNKNOWN: 775}
+
+
+def test_chains_and_step_checks_search_no_steps(monkeypatch):
+    def refuse(g):
+        raise AssertionError(f"searched the steps of {g}")
+
+    monkeypatch.setattr(chains, "maximal_steps", refuse, raising=False)
+    monkeypatch.setattr(subgroups, "maximal_steps", refuse)
+    for spec in ("SU(300) x Sp(40)^2 x T^3", "E8^3 x SO(20)"):
+        g = parse_group(spec)
+        chain = max_chain(g)
+        assert len(chain) == length(g), spec
+        assert verify_chain(chain).overall == "valid", spec
+    for spec in ("SO(20)^3 x T^2", "E8^3"):
+        chain = min_chain(parse_group(spec))
+        assert chain is not None and verify_chain(chain).ok, spec
+
+    # the step check reads the one factor that lost a copy, and only as
+    # far as the step: the first of SU(3000), nothing of SU(2999)
+    generated = []
+    candidates = subgroups._candidates
+
+    def counted(s):
+        for step in candidates(s):
+            generated.append(s)
+            yield step
+
+    monkeypatch.setattr(subgroups, "_candidates", counted)
+    _step_sequence.cache_clear()
+    parent = parse_group("SU(3000) x SU(2999)")
+    assert is_maximal_step(parent, parse_group("SU(2999)^2 x T")) == YES
+    assert generated.count(SimpleType("SU", 3000)) <= 2
+    assert SimpleType("SU", 2999) not in generated
+    _step_sequence.cache_clear()
 
 
 def test_entries_decrease_dim_and_rank():

@@ -257,6 +257,12 @@ def test_part_verdicts_agree_with_the_per_group_checks(holds, reference):
     assert seen == list(iter_groups(30))
 
 
+def test_block_cd_is_the_homogeneous_chain_difference():
+    for s in iter_simple_types(max_degree=60):
+        for k in range(1, 7):
+            assert suites._block_cd(s, k) == chain_difference(GroupType(0, ((s, k),))).exact_value
+
+
 def _reference_depth_is(g, target):
     # the rule spelled out on its own: the closed-form interval decides,
     # and the oracle settles a curated group only when the interval holds
