@@ -57,8 +57,9 @@ def _cmd_dims(args) -> int:
 
 # the most the degrees of a group's distinct classical factors may sum to
 # before ``maximals`` or ``verify-chain`` generates its subgroup table: about
-# 0.6 s in a cold process on a 2-vCPU virtual machine, and five times the
-# degree of the largest table of the `large-inputs` benchmark workload, SU(3600)
+# 0.45 s and 30 MB in a cold process on a 2-vCPU virtual machine (0.5 s and
+# 35 MB with --json), and five times the degree of the largest table of the
+# `large-inputs` benchmark workload, SU(3600)
 MAX_TABLE_DEGREES = 20_000
 
 
@@ -83,10 +84,9 @@ def _cmd_maximals(args) -> int:
         print(json.dumps(query_json(g)))
         return 0
     entries, flag = maximal_connected(g)
-    for entry in entries:
-        print(f"{entry.subgroup}  [{entry.kind}]")
     status = "complete" if flag.complete else f"incomplete ({flag.reason})"
-    print(f"# {len(entries)} maximal connected subgroup types, {status}")
+    print("".join(f"{entry.subgroup}  [{entry.kind}]\n" for entry in entries)
+          + f"# {len(entries)} maximal connected subgroup types, {status}")
     return 0
 
 

@@ -94,9 +94,7 @@ class SimpleType:
         return (_FAMILY_ORDER[self.family], self.degree)
 
     def __str__(self) -> str:
-        if self.family in _EXCEPTIONAL_DIMS:
-            return self.family
-        return f"{self.family}({self.degree})"
+        return f"{self.family}({self.degree})" if self.degree else self.family
 
     def __repr__(self) -> str:
         return f"SimpleType({str(self)!r})"
@@ -156,7 +154,7 @@ class GroupType:
 
     @property
     def dim(self) -> int:
-        return self.torus_rank + sum(s.dim * k for s, k in self.counts)
+        return self.torus_rank + sum([s.dim * k for s, k in self.counts])
 
     @property
     def rank(self) -> int:
@@ -165,13 +163,15 @@ class GroupType:
     @property
     def sort_key(self) -> tuple:
         """Per-copy factor keys, then the torus rank: the order of tables."""
-        return (tuple(key for s, k in self.counts for key in (s.sort_key,) * k),
-                self.torus_rank)
+        keys: list[tuple[int, int]] = []
+        for s, k in self.counts:
+            keys += (s.sort_key,) * k
+        return tuple(keys), self.torus_rank
 
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other: "GroupType") -> "GroupType":
-        return GroupType(self.torus_rank + other.torus_rank, self.counts + other.counts)
+        return _canonical(self.torus_rank + other.torus_rank, _merged(self.counts, other.counts))
 
     def with_torus(self, extra: int) -> "GroupType":
         """The same factors with ``extra`` more torus rank (fewer when
@@ -186,21 +186,16 @@ class GroupType:
         """Replace one copy of factor ``s`` by the factors of ``replacement``."""
         rest = tuple(pair if pair[0] != s else (s, pair[1] - 1)
                      for pair in self.counts if pair[1] > 1 or pair[0] != s)
-        return GroupType(self.torus_rank + replacement.torus_rank, rest + replacement.counts)
+        return _canonical(self.torus_rank + replacement.torus_rank,
+                          _merged(rest, replacement.counts))
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_trivial:
-            return "1"
-        parts = []
-        for s, k in self.counts:
-            parts.append(str(s) if k == 1 else f"{s}^{k}")
-        if self.torus_rank == 1:
-            parts.append("T")
-        elif self.torus_rank > 1:
-            parts.append(f"T^{self.torus_rank}")
-        return " x ".join(parts)
+        parts = [str(s) if k == 1 else f"{s}^{k}" for s, k in self.counts]
+        if self.torus_rank:
+            parts.append("T" if self.torus_rank == 1 else f"T^{self.torus_rank}")
+        return " x ".join(parts) or "1"
 
     def __repr__(self) -> str:
         return f"GroupType({str(self)!r})"
@@ -218,16 +213,37 @@ def _canonical(torus_rank: int, counts: tuple[tuple[SimpleType, int], ...]) -> G
     return g
 
 
+def _merged(a: tuple[tuple[SimpleType, int], ...],
+            b: tuple[tuple[SimpleType, int], ...]) -> tuple[tuple[SimpleType, int], ...]:
+    """The canonical pairs of a product: the canonical pairs ``a`` and
+    ``b`` merged in one linear pass, a factor in both adding its counts."""
+    if not a or not b or a[-1][0].sort_key < b[0][0].sort_key:
+        return a + b  # one is empty, or all of a comes first
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        key, other = a[i][0].sort_key, b[j][0].sort_key
+        if key == other:
+            out.append((a[i][0], a[i][1] + b[j][1]))
+            i, j = i + 1, j + 1
+        elif key < other:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
+
+
 TRIVIAL = GroupType()
 
 
 def torus(k: int) -> GroupType:
-    return GroupType(torus_rank=k)
+    return _canonical(k, ())
 
 
 def simple(family: str, degree: int = 0) -> GroupType:
     """The group with a single canonical simple factor."""
-    return GroupType(0, ((SimpleType(family, degree), 1),))
+    return _canonical(0, ((SimpleType(family, degree), 1),))
 
 
 def product(groups: Iterable[GroupType]) -> GroupType:
@@ -239,16 +255,16 @@ def product(groups: Iterable[GroupType]) -> GroupType:
 
 # -- canonicalization -------------------------------------------------------
 
-# low-degree coincidences, resolved at construction time
+# low-degree coincidences, resolved at construction time: (z, canonical factors)
 _COINCIDENCES = {
     ("SU", 1): (0, ()),
-    ("Sp", 2): (0, (("SU", 2),)),
+    ("Sp", 2): (0, (("SU", 2, 1),)),
     ("SO", 1): (0, ()),
     ("SO", 2): (1, ()),
-    ("SO", 3): (0, (("SU", 2),)),
-    ("SO", 4): (0, (("SU", 2), ("SU", 2))),
-    ("SO", 5): (0, (("Sp", 4),)),
-    ("SO", 6): (0, (("SU", 4),)),
+    ("SO", 3): (0, (("SU", 2, 1),)),
+    ("SO", 4): (0, (("SU", 2, 2),)),
+    ("SO", 5): (0, (("Sp", 4, 1),)),
+    ("SO", 6): (0, (("SU", 4, 1),)),
 }
 
 
@@ -258,24 +274,15 @@ def canonicalize(family: str, degree: int = 0) -> GroupType:
 
     Accepts the parse ranges SU n>=1, Sp n>=2 even, SO n>=1, the exceptional
     family names, and the torus marker ("T", k).  Raises MalformedTypeError
-    outside those ranges (zero/negative degree, odd Sp degree).
-    """
+    outside those ranges (zero/negative degree, odd Sp degree), through
+    ``SimpleType``: every coincidence lies inside them."""
     if family == "T":
-        if degree < 0:
-            raise MalformedTypeError("torus rank must be nonnegative")
-        return GroupType(torus_rank=degree)
+        return torus(degree)
     if family in _EXCEPTIONAL_DIMS:
         return simple(family)
-    if family not in CLASSICAL_FAMILIES:
-        raise MalformedTypeError(f"unknown family {family!r}")
-    if degree <= 0:
-        raise MalformedTypeError(f"{family} degree must be positive, got {degree}")
-    if family == "Sp" and degree % 2:
-        raise MalformedTypeError(f"Sp({degree}) is malformed (degree must be even)")
-    key = (family, degree)
-    if key in _COINCIDENCES:
-        z, raw = _COINCIDENCES[key]
-        return GroupType(z, tuple((SimpleType(f, d), 1) for f, d in raw))
+    if (family, degree) in _COINCIDENCES:
+        z, raw = _COINCIDENCES[family, degree]
+        return _canonical(z, tuple((SimpleType(f, d), k) for f, d, k in raw))
     return simple(family, degree)
 
 

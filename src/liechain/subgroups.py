@@ -4,9 +4,10 @@ For a classical simple group the candidates are generated from the parameter
 families (reducible stabilizers, the half-rank Levi, tensor product
 subgroups, and the symplectic/orthogonal subgroups of SU_n), plus a small
 curated list of irreducible simple subgroups.  The exceptional groups carry
-their fixed subgroup tables.  Everything is produced as canonical group
-types and deduplicated, so e.g. the SO_4 subgroup of SU_4 and the 2x2 tensor
-subgroup collapse into one SU_2 x SU_2 entry.
+their fixed subgroup tables.  Each candidate is built once, unsorted, from
+``canonicalize``d factors whose products merge in one pass, and the
+candidates are deduplicated, so e.g. the SO_4 subgroup of SU_4 and the 2x2
+tensor subgroup collapse into one SU_2 x SU_2 entry.
 
 The product rule ``maximal_steps(g)`` is the database's one interface.  The
 oracle reads the steps of each curated simple type through it once, and
@@ -40,7 +41,6 @@ from .groups import (
     canonicalize,
     parse_group,
     simple,
-    torus,
 )
 
 YES, NO, UNKNOWN = "yes", "no", "unknown"
@@ -63,17 +63,15 @@ class EmbeddingKind:
             raise ValueError(f"unknown embedding kind {self.kind!r}")
 
     def to_json(self) -> dict:
-        params = {
-            key: (value.to_json() if isinstance(value, EmbeddingKind) else value)
-            for key, value in self.params
-        }
+        params = dict(self.params)
+        if self.kind == "factor":  # the one kind with a kind among its params
+            params["via"] = params["via"].to_json()
         return {"kind": self.kind, "params": params}
 
     def __str__(self) -> str:
         if not self.params:
             return self.kind
-        inner = ", ".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.kind}({inner})"
+        return f"{self.kind}({', '.join([f'{k}={v}' for k, v in self.params])})"
 
     # constructors for the individual cases
     @classmethod
@@ -169,8 +167,8 @@ def _divisor_pairs(n: int) -> Iterable[tuple[int, int]]:
 
 def _candidates_su(n: int):
     for k in range(1, n // 2 + 1):
-        child = canonicalize("SU", k) * canonicalize("SU", n - k) * torus(1)
-        yield child, EmbeddingKind.reducible(k)
+        child = canonicalize("SU", k) * canonicalize("SU", n - k)
+        yield child.with_torus(1), EmbeddingKind.reducible(k)
     # symplectic/orthogonal forms preserved inside SU_n
     if n >= 4 and n % 2 == 0:
         yield canonicalize("Sp", n), EmbeddingKind.classical_in_su("Sp")
@@ -186,7 +184,7 @@ def _candidates_sp(n: int):
     for k in range(2, n // 2 + 1, 2):
         child = canonicalize("Sp", k) * canonicalize("Sp", n - k)
         yield child, EmbeddingKind.reducible(k)
-    yield canonicalize("SU", n // 2) * torus(1), EmbeddingKind.levi()
+    yield canonicalize("SU", n // 2).with_torus(1), EmbeddingKind.levi()
     for a in range(2, n, 2):
         if n % a == 0:
             b = n // a
@@ -201,7 +199,7 @@ def _candidates_so(n: int):
         child = canonicalize("SO", k) * canonicalize("SO", n - k)
         yield child, EmbeddingKind.reducible(k)
     if n % 2 == 0:
-        yield canonicalize("SU", n // 2) * torus(1), EmbeddingKind.levi()
+        yield canonicalize("SU", n // 2).with_torus(1), EmbeddingKind.levi()
     for a, b in _divisor_pairs(n):
         if a >= 3 and a != 4 and b != 4:
             yield canonicalize("SO", a) * canonicalize("SO", b), EmbeddingKind.tensor(a, b)
@@ -228,9 +226,10 @@ def _flag(g: GroupType) -> CompletenessFlag:
 
 
 def _finish(parent_dim: int, steps) -> tuple[MaximalEntry, ...]:
-    """The steps of ``maximal_steps``, each checked to descend, ordered by
-    size.  No type occurs twice, so none is dropped.  A simple type's steps
-    come from ``_distinct``.  A step of a factor A removes one copy of A and
+    """The steps of ``maximal_steps``, ordered by size; the one dimension
+    read per entry orders it and checks that it descends.  No type occurs
+    twice, so none is dropped.  A simple type's steps come from
+    ``_distinct``.  A step of a factor A removes one copy of A and
     adds none (a proper subgroup is smaller than A), while any other step
     keeps every copy of A; two steps of A differ in what replaced it.  A
     diagonal of A loses all of dim A, more than a step of A.  A torus drop
@@ -261,10 +260,10 @@ def _candidates(s: SimpleType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
 
 def _distinct(s: SimpleType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
     """``_candidates(s)`` deduplicated in generation order (the first kind
-    that reaches a type wins), each checked to descend."""
-    dim, seen = s.dim, set()
+    that reaches a type wins).  Descent is checked once per entry, where a
+    table reads its dimension (``_finish``); a chain checks its own nodes."""
+    seen = set()
     for child, kind in _candidates(s):
-        assert child.dim < dim, f"non-descending entry {child}"
         size = len(seen)
         seen.add(child)  # one hash per candidate: the set grows on a new type
         if len(seen) > size:
@@ -289,6 +288,14 @@ class _StepSequence:
     def __iter__(self) -> Iterator[tuple[GroupType, EmbeddingKind]]:
         # once every step is kept, a reader walks the list itself
         return iter(self.steps) if self.rest is None else self._extending()
+
+    def all(self) -> list[tuple[GroupType, EmbeddingKind]]:
+        """Every step, the rest generated at once: for a reader of all."""
+        with _EXTENDING:
+            if self.rest is not None:
+                self.steps += self.rest
+                self.rest = None
+        return self.steps
 
     def _extending(self) -> Iterator[tuple[GroupType, EmbeddingKind]]:
         """The kept steps, then each further one generated and kept as it
@@ -336,8 +343,10 @@ def maximal_steps(g: GroupType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
 def maximal_connected(g: GroupType) -> tuple[tuple[MaximalEntry, ...], CompletenessFlag]:
     """The table of ``maximal_steps(g)``, ordered by size, with the
     completeness flag.  The returned list is always a subset of the truth;
-    the flag tells whether it is certified exhaustive."""
-    return _finish(g.dim, maximal_steps(g)), _flag(g)
+    the flag tells whether it is certified exhaustive.  A simple group's
+    table takes its whole step sequence at once."""
+    steps = _step_sequence(g.simple_factor).all() if g.is_simple else maximal_steps(g)
+    return _finish(g.dim, steps), _flag(g)
 
 
 def simple_step_kind(s: SimpleType, child: GroupType) -> Optional[EmbeddingKind]:

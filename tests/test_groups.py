@@ -436,6 +436,39 @@ def test_constructions_that_skip_the_merge_equal_the_normalised_ones():
         parse_group("SU(3) x T").with_torus(-2)
 
 
+# raw atoms as the parser hands them to ``canonicalize``: canonical factors,
+# the low-rank pieces it folds (SU(1), Sp(2), SO(2..6)) and tori
+_RAW_ATOMS = ([("SU", n) for n in range(1, 6)] + [("Sp", n) for n in (2, 4, 6)]
+              + [("SO", n) for n in range(2, 9)] + [("G2", 0), ("F4", 0), ("T", 1), ("T", 2)])
+
+
+@st.composite
+def canonical_groups(draw):
+    """A bare ``canonicalize`` piece, or a product of pieces built by the
+    sorting constructor."""
+    pieces = [canonicalize(*atom) for atom in
+              draw(st.lists(st.sampled_from(_RAW_ATOMS), min_size=1, max_size=5))]
+    if len(pieces) == 1:
+        return pieces[0]
+    return GroupType(sum(g.torus_rank for g in pieces), tuple(p for g in pieces for p in g.counts))
+
+
+@given(canonical_groups(), canonical_groups())
+def test_merging_constructions_equal_the_sorting_constructor(a, b):
+    # ``*`` and ``replace_one`` merge the canonical pairs of their operands
+    # in one pass; the constructor sorts and merges any pairs
+    def assert_same(got, want):
+        assert got == want and got.counts == want.counts and hash(got) == hash(want)
+
+    for g in (a, b):
+        assert_same(g, GroupType(g.torus_rank, tuple(reversed(g.counts))))
+    assert_same(a * b, GroupType(a.torus_rank + b.torus_rank, a.counts + b.counts))
+    for s, _ in a.counts:
+        rest = tuple((t, k - 1 if t == s else k) for t, k in a.counts if t != s or k > 1)
+        assert_same(a.replace_one(s, b),
+                    GroupType(a.torus_rank + b.torus_rank, rest + b.counts))
+
+
 def test_iter_groups_bounded_and_unique():
     seen = list(iter_groups(12))
     assert len(seen) == len(set(seen))

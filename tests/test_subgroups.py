@@ -14,6 +14,7 @@ from liechain.groups import (
     TRIVIAL,
     GroupType,
     SimpleType,
+    canonicalize,
     iter_groups,
     iter_simple_types,
     parse_group,
@@ -26,7 +27,9 @@ from liechain.subgroups import (
     NO,
     UNKNOWN,
     YES,
+    CompletenessFlag,
     EmbeddingKind,
+    MaximalEntry,
     _candidates,
     _finish,
     _step_sequence,
@@ -155,6 +158,108 @@ def test_table_is_the_finished_step_rule():
         assert _finish(g.dim, maximal_steps(g)) == maximal_connected(g)[0], g
 
 
+def _product(*groups):
+    """A product built by the sorting constructor, the reference for ``*``."""
+    return GroupType(sum(g.torus_rank for g in groups), tuple(p for g in groups for p in g.counts))
+
+
+def _divisor_pairs(n):
+    return [(d, n // d) for d in range(2, int(n ** 0.5) + 1) if n % d == 0]
+
+
+def _reference_candidates(s):
+    """The classical candidate families as first written, every product
+    sorted by the constructor: the reference for ``_candidates``."""
+    n, c = s.degree, canonicalize
+    if s.family == "SU":
+        for k in range(1, n // 2 + 1):
+            yield _product(c("SU", k), c("SU", n - k), torus(1)), EmbeddingKind.reducible(k)
+        if n >= 4 and n % 2 == 0:
+            yield c("Sp", n), EmbeddingKind.classical_in_su("Sp")
+        yield c("SO", n), EmbeddingKind.classical_in_su("SO")
+        for a, b in _divisor_pairs(n):
+            yield _product(c("SU", a), c("SU", b)), EmbeddingKind.tensor(a, b)
+        if n == 6:
+            yield simple("SU", 3), EmbeddingKind.irreducible("su3-sym2")
+    elif s.family == "Sp":
+        for k in range(2, n // 2 + 1, 2):
+            yield _product(c("Sp", k), c("Sp", n - k)), EmbeddingKind.reducible(k)
+        yield _product(c("SU", n // 2), torus(1)), EmbeddingKind.levi()
+        for a in range(2, n, 2):
+            if n % a == 0 and n // a >= 3 and n // a != 4:
+                yield _product(c("Sp", a), c("SO", n // a)), EmbeddingKind.tensor(a, n // a)
+        yield simple("SU", 2), EmbeddingKind.irreducible("principal-su2")
+    else:
+        for k in range(1, n // 2 + 1):
+            yield _product(c("SO", k), c("SO", n - k)), EmbeddingKind.reducible(k)
+        if n % 2 == 0:
+            yield _product(c("SU", n // 2), torus(1)), EmbeddingKind.levi()
+        for a, b in _divisor_pairs(n):
+            if a >= 3 and a != 4 and b != 4:
+                yield _product(c("SO", a), c("SO", b)), EmbeddingKind.tensor(a, b)
+            if a % 2 == 0 and b % 2 == 0:
+                yield _product(c("Sp", a), c("Sp", b)), EmbeddingKind.tensor(a, b)
+        if n == 7:
+            yield simple("G2"), EmbeddingKind.irreducible("g2-natural")
+        if n == 8:
+            yield simple("SU", 3), EmbeddingKind.irreducible("su3-adjoint")
+        if n >= 9 and n % 2:
+            yield simple("SU", 2), EmbeddingKind.irreducible("principal-su2")
+
+
+def _reference_table(s):
+    """The table as first built: candidates deduplicated, the first kind
+    winning, each checked to descend, then sorted by size and factor keys."""
+    first = {}
+    for child, kind in _reference_candidates(s):
+        assert child.torus_rank + sum(t.dim * k for t, k in child.counts) < s.dim, child
+        first.setdefault(child, kind)
+
+    def order(item):
+        g = item[0]
+        return (-(g.torus_rank + sum(t.dim * k for t, k in g.counts)),
+                tuple(key for t, k in g.counts for key in (t.sort_key,) * k), g.torus_rank)
+
+    return tuple(MaximalEntry(child, kind) for child, kind in sorted(first.items(), key=order))
+
+
+def test_tables_match_the_reference_generators():
+    types = [s for s in iter_simple_types(max_degree=150) if s.is_classical]
+    types += [SimpleType("SU", 3001), SimpleType("Sp", 3000), SimpleType("SO", 3001)]
+    for s in types:
+        entries, flag = maximal_connected(GroupType(0, ((s, 1),)))
+        assert entries == _reference_table(s), s
+        assert all(e.subgroup.counts == GroupType(0, e.subgroup.counts).counts for e in entries)
+        assert flag == (CompletenessFlag(True, "curated coverage set") if s in CURATED_SIMPLE
+                        else CompletenessFlag(False, f"outside curated coverage set: {s}"))
+
+
+def test_cold_table_sorts_no_group_and_reads_each_dim_once(monkeypatch):
+    # every candidate is built from canonical pieces, none by the sorting
+    # constructor, and each entry's dim is read once, where it is ordered
+    g = simple("SU", 1201)
+    canonicalize.cache_clear()
+    _step_sequence.cache_clear()
+    maximal_connected.cache_clear()
+    constructed, dim_reads = [], Counter()
+    post_init, dim = GroupType.__post_init__, GroupType.dim
+
+    def counted_post_init(self):
+        constructed.append(self.counts)
+        post_init(self)
+
+    def counted_dim(self):
+        dim_reads[self] += 1
+        return dim.fget(self)
+
+    monkeypatch.setattr(GroupType, "__post_init__", counted_post_init)
+    monkeypatch.setattr(GroupType, "dim", property(counted_dim))
+    entries, _ = maximal_connected(g)
+    assert len(entries) == 601  # 600 reducible, SO(1201); 1201 is prime
+    assert constructed == []
+    assert dim_reads == Counter([g, *(e.subgroup for e in entries)])
+
+
 def test_threads_reading_one_step_sequence_see_one_order():
     g = parse_group("SU(720)")
     expected = _first_kinds(g.simple_factor)
@@ -164,10 +269,13 @@ def test_threads_reading_one_step_sequence_see_one_order():
     def read():
         results.append(list(maximal_steps(g)))
 
+    def read_all():  # as a table does: the rest generated at once
+        results.append(list(_step_sequence(g.simple_factor).all()))
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=read) for _ in range(6)]
+        threads = [threading.Thread(target=fn) for fn in (read, read_all) * 3]
         for t in threads:
             t.start()
         for t in threads:
