@@ -57,7 +57,7 @@ def _cmd_dims(args) -> int:
 
 # the most the degrees of a group's distinct classical factors may sum to
 # before ``maximals`` or ``verify-chain`` generates its subgroup table: about
-# 0.45 s and 30 MB in a cold process on a 2-vCPU virtual machine (0.5 s and
+# 0.4 s and 30 MB in a cold process on a 2-vCPU virtual machine (0.45 s and
 # 35 MB with --json), and five times the degree of the largest table of the
 # `large-inputs` benchmark workload, SU(3600)
 MAX_TABLE_DEGREES = 20_000

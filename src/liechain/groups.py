@@ -163,10 +163,8 @@ class GroupType:
     @property
     def sort_key(self) -> tuple:
         """Per-copy factor keys, then the torus rank: the order of tables."""
-        keys: list[tuple[int, int]] = []
-        for s, k in self.counts:
-            keys += (s.sort_key,) * k
-        return tuple(keys), self.torus_rank
+        return (tuple(key for s, k in self.counts for key in (s.sort_key,) * k),
+                self.torus_rank)
 
     # -- algebra -----------------------------------------------------------
 
@@ -215,10 +213,8 @@ def _canonical(torus_rank: int, counts: tuple[tuple[SimpleType, int], ...]) -> G
 
 def _merged(a: tuple[tuple[SimpleType, int], ...],
             b: tuple[tuple[SimpleType, int], ...]) -> tuple[tuple[SimpleType, int], ...]:
-    """The canonical pairs of a product: the canonical pairs ``a`` and
-    ``b`` merged in one linear pass, a factor in both adding its counts."""
-    if not a or not b or a[-1][0].sort_key < b[0][0].sort_key:
-        return a + b  # one is empty, or all of a comes first
+    """The canonical pairs ``a`` and ``b`` merged in one linear pass, a
+    factor in both adding its counts: the pairs of their product."""
     out, i, j = [], 0, 0
     while i < len(a) and j < len(b):
         key, other = a[i][0].sort_key, b[j][0].sort_key

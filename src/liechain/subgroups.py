@@ -226,10 +226,9 @@ def _flag(g: GroupType) -> CompletenessFlag:
 
 
 def _finish(parent_dim: int, steps) -> tuple[MaximalEntry, ...]:
-    """The steps of ``maximal_steps``, ordered by size; the one dimension
-    read per entry orders it and checks that it descends.  No type occurs
-    twice, so none is dropped.  A simple type's steps come from
-    ``_distinct``.  A step of a factor A removes one copy of A and
+    """The steps of ``maximal_steps``, each checked to descend, ordered by
+    size.  No type occurs twice, so none is dropped.  A simple type's steps
+    come from ``_distinct``.  A step of a factor A removes one copy of A and
     adds none (a proper subgroup is smaller than A), while any other step
     keeps every copy of A; two steps of A differ in what replaced it.  A
     diagonal of A loses all of dim A, more than a step of A.  A torus drop
@@ -260,8 +259,7 @@ def _candidates(s: SimpleType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
 
 def _distinct(s: SimpleType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
     """``_candidates(s)`` deduplicated in generation order (the first kind
-    that reaches a type wins).  Descent is checked once per entry, where a
-    table reads its dimension (``_finish``); a chain checks its own nodes."""
+    that reaches a type wins); ``_finish`` checks that each descends."""
     seen = set()
     for child, kind in _candidates(s):
         size = len(seen)
@@ -288,14 +286,6 @@ class _StepSequence:
     def __iter__(self) -> Iterator[tuple[GroupType, EmbeddingKind]]:
         # once every step is kept, a reader walks the list itself
         return iter(self.steps) if self.rest is None else self._extending()
-
-    def all(self) -> list[tuple[GroupType, EmbeddingKind]]:
-        """Every step, the rest generated at once: for a reader of all."""
-        with _EXTENDING:
-            if self.rest is not None:
-                self.steps += self.rest
-                self.rest = None
-        return self.steps
 
     def _extending(self) -> Iterator[tuple[GroupType, EmbeddingKind]]:
         """The kept steps, then each further one generated and kept as it
@@ -343,10 +333,8 @@ def maximal_steps(g: GroupType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
 def maximal_connected(g: GroupType) -> tuple[tuple[MaximalEntry, ...], CompletenessFlag]:
     """The table of ``maximal_steps(g)``, ordered by size, with the
     completeness flag.  The returned list is always a subset of the truth;
-    the flag tells whether it is certified exhaustive.  A simple group's
-    table takes its whole step sequence at once."""
-    steps = _step_sequence(g.simple_factor).all() if g.is_simple else maximal_steps(g)
-    return _finish(g.dim, steps), _flag(g)
+    the flag tells whether it is certified exhaustive."""
+    return _finish(g.dim, maximal_steps(g)), _flag(g)
 
 
 def simple_step_kind(s: SimpleType, child: GroupType) -> Optional[EmbeddingKind]:

@@ -49,6 +49,28 @@ def test_canonicalize_coincidences():
         canonicalize("SO", 0)
 
 
+@pytest.mark.parametrize("family, degree, message", [
+    ("Sp", 3, "Sp(3) is malformed (degree must be even)"),
+    ("Sp", 1, "Sp(1) is malformed (degree must be even)"),
+    ("Sp", -2, "Sp degree must be positive, got -2"),
+    ("Sp", 0, "Sp degree must be positive, got 0"),
+    ("SO", 0, "SO degree must be positive, got 0"),
+    ("SO", -3, "SO degree must be positive, got -3"),
+    ("SU", 0, "SU degree must be positive, got 0"),
+    ("SU", -1, "SU degree must be positive, got -1"),
+    ("XY", 3, "unknown family 'XY'"),
+    ("XY", 0, "unknown family 'XY'"),
+    ("T", -1, "torus rank must be nonnegative"),
+    ("T", -5, "torus rank must be nonnegative"),
+])
+def test_canonicalize_rejects_out_of_range_input_with_its_message(family, degree, message):
+    # the range checks are made where the factor or torus is built
+    # (``SimpleType``, ``_canonical``); the messages are part of the CLI's output
+    with pytest.raises(MalformedTypeError) as exc:
+        canonicalize(family, degree)
+    assert str(exc.value) == message
+
+
 def test_canonicalize_idempotent():
     for family, top in [("SU", 12), ("Sp", 12), ("SO", 12)]:
         for n in range(1, top + 1):
