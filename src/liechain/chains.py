@@ -4,16 +4,16 @@ arbitrary user-supplied chains against the subgroup database."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import MalformedTypeError
+from .errors import Frozen, MalformedTypeError
 from .formulas import depth, max_step_simple, min_step_simple
 from .groups import GroupType, parse_group
 from .oracle import oracle_depth
 from .subgroups import (
     NO,
+    TORUS_DROP,
     UNKNOWN,
     EmbeddingKind,
     is_maximal_step,
@@ -22,26 +22,35 @@ from .subgroups import (
 )
 
 Step = tuple[GroupType, EmbeddingKind]
-_TORUS_DROP = EmbeddingKind.torus_drop()
 
 
-@dataclass(frozen=True, slots=True)
-class Chain:
+class Chain(Frozen):
     """An unrefinable chain: nodes from the top group down to the trivial
     group, one embedding kind per step."""
 
+    __slots__ = ("nodes", "steps")
     nodes: tuple[GroupType, ...]
     steps: tuple[EmbeddingKind, ...]
 
-    def __post_init__(self):
-        if not self.nodes or not self.nodes[-1].is_trivial:
+    def __init__(self, nodes: tuple[GroupType, ...], steps: tuple[EmbeddingKind, ...]):
+        if not nodes or not nodes[-1].is_trivial:
             raise MalformedTypeError("chain must end at the trivial group")
-        if len(self.steps) != len(self.nodes) - 1:
+        if len(steps) != len(nodes) - 1:
             raise MalformedTypeError("need exactly one step per adjacent pair")
-        for i, (above, below) in enumerate(pairwise(g.dim for g in self.nodes)):
+        for i, (above, below) in enumerate(pairwise(g.dim for g in nodes)):
             if below >= above:
                 raise MalformedTypeError(
-                    f"chain not strictly descending at {self.nodes[i]} > {self.nodes[i + 1]}")
+                    f"chain not strictly descending at {nodes[i]} > {nodes[i + 1]}")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "steps", steps)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.nodes, self.steps) == (other.nodes, other.steps)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nodes, self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -88,7 +97,7 @@ def _factor_step(g: GroupType, step: GroupType) -> Step:
 def _max_pick(g: GroupType) -> Step:
     """Any torus drops first, then the first factor takes its longest step."""
     if g.torus_rank > 0:
-        return g.with_torus(-1), _TORUS_DROP
+        return g.with_torus(-1), TORUS_DROP
     return _factor_step(g, max_step_simple(g.counts[0][0]))
 
 
@@ -96,7 +105,7 @@ def _min_pick(g: GroupType) -> Step:
     """For S^k x T^z: the diagonal collapses S^k to S, then S takes its
     shortest steps with the torus kept, and the torus drops last."""
     if not g.counts:
-        return g.with_torus(-1), _TORUS_DROP
+        return g.with_torus(-1), TORUS_DROP
     s, k = g.counts[0]
     if k > 1:
         return g.drop_one(s), EmbeddingKind.diagonal(s)
@@ -131,8 +140,7 @@ def min_chain(g: GroupType) -> Optional[Chain]:
 
 # -- verification --------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Step-by-step maximality verdicts for a chain."""
 
     verdicts: tuple[str, ...]

@@ -1,4 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its
+immutable value classes."""
+
+
+class Frozen:
+    """Base of the immutable value classes: each sets its slots once, in
+    ``__init__`` through ``object.__setattr__``.  Assigning or deleting one
+    afterwards raises AttributeError.  Instances pickle and copy by their
+    slots, in order, as the arguments of ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class LieChainError(Exception):

@@ -3,12 +3,11 @@ dimension/length inequalities, evaluated over exact radical arithmetic."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import MalformedTypeError
+from .errors import Frozen, MalformedTypeError
 from .groups import GroupType, SimpleType, canonicalize, simple, torus
 from .oracle import oracle_depth
 from .radicals import ALPHA, BETA, BETA_INV, QuadExpr
@@ -17,16 +16,26 @@ from .subgroups import is_curated
 EXCEPTIONAL_LENGTH = {"G2": 5, "F4": 11, "E6": 13, "E7": 17, "E8": 20}
 
 
-@dataclass(frozen=True, slots=True)
-class BoundsOrExact:
+class BoundsOrExact(Frozen):
     """An exact value or an inclusive integer interval."""
 
+    __slots__ = ("lower", "upper")
     lower: int
     upper: int
 
-    def __post_init__(self):
-        if not 0 <= self.lower <= self.upper:
-            raise ValueError(f"bad bounds [{self.lower}, {self.upper}]")
+    def __init__(self, lower: int, upper: int):
+        if not 0 <= lower <= upper:
+            raise ValueError(f"bad bounds [{lower}, {upper}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lower, self.upper) == (other.lower, other.upper)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lower, self.upper))
 
     @classmethod
     def exact(cls, value: int) -> "BoundsOrExact":
@@ -177,14 +186,17 @@ def chain_difference(g: GroupType, refine: bool = False) -> BoundsOrExact:
     return BoundsOrExact(total - d.upper, total - d.lower)
 
 
+_SU2 = SimpleType("SU", 2)
+
+
 def is_length_eq_depth(g: GroupType) -> bool:
     """True exactly for tori and for SU_2 times a torus."""
-    return not g.counts or g.counts == ((SimpleType("SU", 2), 1),)
+    return not g.counts or g.counts == ((_SU2, 1),)
 
 
 _CD_ONE_FACTOR_SETS = (
     ((SimpleType("SU", 3), 1),),
-    ((SimpleType("SU", 2), 2),),
+    ((_SU2, 2),),
 )
 
 
@@ -203,8 +215,7 @@ def is_cd_one(g: GroupType) -> bool:
 
 # -- inequality checks ---------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Check:
+class Check(NamedTuple):
     """One verified inequality/equality, with printable sides."""
 
     claim: str
@@ -225,9 +236,6 @@ class Check:
     def __str__(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.claim}: {self.lhs} vs {self.rhs} {self.inputs}"
-
-
-_SU2 = SimpleType("SU", 2)
 
 
 def _lone_pair(z: int, counts: tuple) -> Optional[tuple[SimpleType, int]]:
@@ -457,7 +465,7 @@ def smalll_sums_negative(total: int, q: int, r: int, k: int) -> bool:
 # everything not listed has slack 0.  (The doubled-depth margin 2*depth - length
 # equals 1 for G2, so it sits with Sp_4 and SO_7.)
 _TWICE_SLACK = {
-    SimpleType("SU", 2): 2,
+    _SU2: 2,
     SimpleType("SU", 3): 2,
     SimpleType("SU", 4): 2,
     SimpleType("Sp", 4): 1,

@@ -10,11 +10,10 @@ orthogonal/symplectic coincidences (SO_3 = SU_2, SO_6 = SU_4, Sp_2 = SU_2,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import MalformedTypeError, ParseError
+from .errors import Frozen, MalformedTypeError, ParseError
 
 FAMILIES = ("SU", "Sp", "SO", "G2", "F4", "E6", "E7", "E8")
 CLASSICAL_FAMILIES = ("SU", "Sp", "SO")
@@ -44,8 +43,7 @@ def _check_classical_degree(family: str, degree: int) -> None:
         raise MalformedTypeError(f"SO({degree}) is not canonical (need n >= 7)")
 
 
-@dataclass(frozen=True, slots=True)
-class SimpleType:
+class SimpleType(Frozen):
     """One canonical simple compact factor: a family plus a degree.
 
     The degree is the n of SU_n / Sp_n / SO_n and is 0 for the exceptional
@@ -53,17 +51,28 @@ class SimpleType:
     here; use :func:`canonicalize` to resolve them.
     """
 
+    __slots__ = ("family", "degree")
     family: str
-    degree: int = 0
+    degree: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise MalformedTypeError(f"unknown family {self.family!r}")
-        if self.family in _EXCEPTIONAL_DIMS:
-            if self.degree:
-                raise MalformedTypeError(f"{self.family} takes no degree")
+    def __init__(self, family: str, degree: int = 0):
+        if family not in FAMILIES:
+            raise MalformedTypeError(f"unknown family {family!r}")
+        if family in _EXCEPTIONAL_DIMS:
+            if degree:
+                raise MalformedTypeError(f"{family} takes no degree")
         else:
-            _check_classical_degree(self.family, self.degree)
+            _check_classical_degree(family, degree)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "degree", degree)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.degree) == (other.family, other.degree)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.degree))
 
     @property
     def is_classical(self) -> bool:
@@ -100,24 +109,23 @@ class SimpleType:
         return f"SimpleType({str(self)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class GroupType:
+class GroupType(Frozen):
     """A compact connected Lie group up to isogeny: torus rank z plus the
     multiset of simple factors as (factor, multiplicity) pairs, normalised to
     canonical order so equal groups compare equal (``((s, 1), (s, 2))`` is
     ``((s, 3),)``)."""
 
-    torus_rank: int = 0
-    counts: tuple[tuple[SimpleType, int], ...] = ()
+    __slots__ = ("torus_rank", "counts")
+    torus_rank: int
+    counts: tuple[tuple[SimpleType, int], ...]
 
-    def __post_init__(self):
-        if self.torus_rank < 0:
+    def __init__(self, torus_rank: int = 0, counts: tuple[tuple[SimpleType, int], ...] = ()):
+        if torus_rank < 0:
             raise MalformedTypeError("torus rank must be nonnegative")
         # sort and merge neighbours (a dict would hash a SimpleType per
         # pair); a pair that needs no merge is kept, not copied
-        pairs = self.counts
         out: list[tuple[SimpleType, int]] = []
-        for pair in sorted(pairs, key=lambda p: p[0].sort_key) if len(pairs) > 1 else pairs:
+        for pair in sorted(counts, key=lambda p: p[0].sort_key) if len(counts) > 1 else counts:
             s, k = pair
             if k < 1:
                 raise MalformedTypeError(f"multiplicity of {s} must be positive, got {k}")
@@ -125,7 +133,16 @@ class GroupType:
                 out[-1] = (s, out[-1][1] + k)
             else:
                 out.append(pair)
+        object.__setattr__(self, "torus_rank", torus_rank)
         object.__setattr__(self, "counts", tuple(out))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.torus_rank, self.counts) == (other.torus_rank, other.counts)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.torus_rank, self.counts))
 
     # -- structure ---------------------------------------------------------
 
@@ -202,7 +219,7 @@ class GroupType:
 def _canonical(torus_rank: int, counts: tuple[tuple[SimpleType, int], ...]) -> GroupType:
     """A GroupType of pairs the caller knows are canonical (the pairs of an
     existing group, or built in canonical order), without the sort and
-    merge of ``__post_init__``."""
+    merge of ``__init__``."""
     if torus_rank < 0:
         raise MalformedTypeError("torus rank must be nonnegative")
     g = object.__new__(GroupType)

@@ -44,7 +44,6 @@ recursion depth is at most l(G).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import filterfalse
 from typing import Iterable, Optional
 
@@ -120,7 +119,6 @@ class _Vectors:
         return [key >> bits * i & mask for i in range(len(_CURATED))]
 
 
-@dataclass
 class Oracle:
     """Shared memo table mapping canonical semisimple types to (length, depth).
 
@@ -132,9 +130,26 @@ class Oracle:
     torus included, which is exponentially slower but must agree.
     """
 
-    cached: bool = True
-    table: dict[GroupType, tuple[int, int]] = field(default_factory=dict)
-    _vectors: Optional[_Vectors] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("cached", "table", "_vectors")
+    cached: bool
+    table: dict[GroupType, tuple[int, int]]
+    _vectors: Optional[_Vectors]
+
+    def __init__(self, cached: bool = True,
+                 table: Optional[dict[GroupType, tuple[int, int]]] = None):
+        self.cached = cached
+        self.table = {} if table is None else table
+        self._vectors = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cached, self.table) == (other.cached, other.table)
+        return NotImplemented
+
+    __hash__ = None  # a mutable memo
+
+    def __repr__(self) -> str:
+        return f"Oracle(cached={self.cached!r}, table={self.table!r})"
 
     def compute(self, g: GroupType) -> tuple[int, int]:
         if not self.cached:

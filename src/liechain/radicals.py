@@ -11,10 +11,11 @@ the one attained at E8 are therefore decided exactly, with no float error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt, lcm
 from typing import Union
+
+from .errors import Frozen
 
 Rational = Union[int, Fraction]
 
@@ -36,11 +37,14 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, m * n
 
 
-@dataclass(frozen=True, slots=True)
-class QuadExpr:
+class QuadExpr(Frozen):
     """Immutable exact value of the form  sum c_i * sqrt(m_i)."""
 
-    terms: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ("terms",)
+    terms: tuple[tuple[int, Fraction], ...]
+
+    def __init__(self, terms: tuple[tuple[int, Fraction], ...] = ()):
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def _build(parts: dict[int, Fraction]) -> "QuadExpr":

@@ -29,11 +29,10 @@ correct entries, flagged incomplete.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import TrivialGroupError
+from .errors import Frozen, TrivialGroupError
 from .groups import (
     GroupType,
     SimpleType,
@@ -51,16 +50,26 @@ _KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
-class EmbeddingKind:
+class EmbeddingKind(Frozen):
     """Why a subgroup is maximal: one tagged case plus its parameters."""
 
+    __slots__ = ("kind", "params")
     kind: str
-    params: tuple[tuple[str, object], ...] = ()
+    params: tuple[tuple[str, object], ...]
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown embedding kind {self.kind!r}")
+    def __init__(self, kind: str, params: tuple[tuple[str, object], ...] = ()):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown embedding kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.params) == (other.kind, other.params)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.params))
 
     def to_json(self) -> dict:
         params = dict(self.params)
@@ -114,8 +123,11 @@ class EmbeddingKind:
         return cls("torus-drop")
 
 
-@dataclass(frozen=True, slots=True)
-class MaximalEntry:
+# the kind of the step H x T^z > H x T^(z-1), shared by every group with a torus
+TORUS_DROP = EmbeddingKind.torus_drop()
+
+
+class MaximalEntry(NamedTuple):
     subgroup: GroupType
     kind: EmbeddingKind
 
@@ -123,8 +135,7 @@ class MaximalEntry:
         return {"subgroup": str(self.subgroup), **self.kind.to_json()}
 
 
-@dataclass(frozen=True, slots=True)
-class CompletenessFlag:
+class CompletenessFlag(NamedTuple):
     complete: bool
     reason: str
 
@@ -321,7 +332,7 @@ def maximal_steps(g: GroupType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
         yield from _step_sequence(g.simple_factor)
         return
     if g.torus_rank > 0:
-        yield g.with_torus(-1), EmbeddingKind.torus_drop()
+        yield g.with_torus(-1), TORUS_DROP
     for index, (s, count) in enumerate(g.counts):
         for child, kind in _step_sequence(s):
             yield g.replace_one(s, child), EmbeddingKind.factor(index, kind)

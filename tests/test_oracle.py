@@ -226,6 +226,14 @@ def test_import_builds_no_steps_and_no_memo():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # about a quarter of a cold CLI call's import went to dataclasses and the
+    # inspect, dis and tokenize it pulls in; no answer needs them
+    proc = _python("import sys, liechain, liechain.cli; "
+                   "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_oracle_long_chain_under_default_recursion_limit():
     # l(SU(2)^600) = 1200: the walk keeps its own stack, so the chain's
     # length never meets the interpreter's recursion limit

@@ -242,17 +242,17 @@ def test_cold_table_sorts_no_group_and_reads_each_dim_once(monkeypatch):
     _step_sequence.cache_clear()
     maximal_connected.cache_clear()
     constructed, dim_reads = [], Counter()
-    post_init, dim = GroupType.__post_init__, GroupType.dim
+    init, dim = GroupType.__init__, GroupType.dim
 
-    def counted_post_init(self):
-        constructed.append(self.counts)
-        post_init(self)
+    def counted_init(self, *args, **kwargs):
+        constructed.append(args)
+        init(self, *args, **kwargs)
 
     def counted_dim(self):
         dim_reads[self] += 1
         return dim.fget(self)
 
-    monkeypatch.setattr(GroupType, "__post_init__", counted_post_init)
+    monkeypatch.setattr(GroupType, "__init__", counted_init)
     monkeypatch.setattr(GroupType, "dim", property(counted_dim))
     entries, _ = maximal_connected(g)
     assert len(entries) == 601  # 600 reducible, SO(1201); 1201 is prime
