@@ -40,7 +40,6 @@ from .groups import (
     torus,
 )
 from .oracle import Oracle, oracle_depth, oracle_length
-from .radicals import ALPHA, BETA, QuadExpr
 from .subgroups import (
     CURATED_SIMPLE,
     CompletenessFlag,
@@ -51,6 +50,23 @@ from .subgroups import (
     maximal_connected,
     min_irrep_dim,
 )
-from .suites import cross_validate
 
 __version__ = "1.0.0"
+
+# names whose modules load on first access (PEP 562): only the theorem checks
+# use the radical arithmetic and the suites, so a query compiles neither
+_LAZY = {"ALPHA": "radicals", "BETA": "radicals", "QuadExpr": "radicals",
+         "cross_validate": "suites", "radicals": "radicals", "suites": "suites"}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

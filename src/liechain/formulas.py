@@ -1,17 +1,22 @@
 """Closed forms for length, depth and chain difference, plus the
-dimension/length inequalities, evaluated over exact radical arithmetic."""
+dimension/length inequalities, evaluated over exact radical arithmetic.
+
+The few functions that build radical values import ``radicals`` (and with
+it ``fractions``) when first called, so a query that asks for a length or a
+depth compiles neither."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import Frozen, MalformedTypeError
 from .groups import GroupType, SimpleType, canonicalize, simple, torus
 from .oracle import oracle_depth
-from .radicals import ALPHA, BETA, BETA_INV, QuadExpr
 from .subgroups import is_curated
+
+if TYPE_CHECKING:
+    from .radicals import QuadExpr
 
 EXCEPTIONAL_LENGTH = {"G2": 5, "F4": 11, "E6": 13, "E7": 17, "E8": 20}
 
@@ -313,15 +318,15 @@ _VERDICT_CACHE_SIZE = 4096
 _XI_ALPHA_FAMILIES = ("E6", "E7", "E8")
 
 
-# beta * xi, for xi = alpha and for xi = 1
-_BETA_XI = {True: BETA * ALPHA, False: BETA}
-
-
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def _sqrt_bound(dim: int, xi_is_alpha: bool) -> QuadExpr:
     """beta * (sqrt(dim) - xi), with xi = alpha or 1, built as
     (5/4) sqrt(2 dim) - beta xi."""
-    return QuadExpr.sqrt(2 * dim, Fraction(5, 4)) - _BETA_XI[xi_is_alpha]
+    from fractions import Fraction
+
+    from .radicals import BETA, BETA_ALPHA, QuadExpr
+
+    return QuadExpr.sqrt(2 * dim, Fraction(5, 4)) - (BETA_ALPHA if xi_is_alpha else BETA)
 
 
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
@@ -333,6 +338,8 @@ def _sqrt_threshold(dim: int, xi_is_alpha: bool) -> int:
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def _quad_cd_bound(cd_low: int) -> QuadExpr:
     """(beta^-1 * (2cd + 2) + alpha)^2."""
+    from .radicals import ALPHA, BETA_INV
+
     root = BETA_INV * (2 * cd_low + 2) + ALPHA
     return root * root
 
@@ -355,6 +362,8 @@ def sqrt_verdicts(z: int, counts: tuple, l_ss: int, dim_ss: int) -> tuple[bool, 
 
 
 def check_sqrt_lower_bound(g: GroupType) -> list[Check]:
+    from .radicals import ALPHA, QuadExpr
+
     total = length(g)
     z = g.torus_rank
     ok = sqrt_verdicts(z, g.counts, total - z, g.dim - z)
@@ -385,6 +394,10 @@ def check_sqrt_lower_bound(g: GroupType) -> list[Check]:
 def lendim_formula(s: SimpleType) -> QuadExpr:
     """The length of a classical simple group written as an exact radical
     function of its dimension d; agrees with ``length`` exactly."""
+    from fractions import Fraction
+
+    from .radicals import QuadExpr
+
     if not s.is_classical:
         raise MalformedTypeError(f"classical type required, got {s}")
     d = s.dim
@@ -403,6 +416,10 @@ def elem_inequalities(x, y) -> tuple[Optional[bool], Optional[bool], Optional[bo
     (ii) x, y >= 3:    sqrt(x) + sqrt(y) >= sqrt(x+y) + 1
     (iii) x, y >= 78:  sqrt(x) + sqrt(y) >= sqrt(x+y) + alpha
     """
+    from fractions import Fraction
+
+    from .radicals import ALPHA, BETA, QuadExpr
+
     x = Fraction(x)
     y = Fraction(y)
     first = second = third = None
@@ -435,6 +452,10 @@ def smalll_deficit(ns: Sequence[int]) -> QuadExpr:
         (5/4) sum n_i - (7/4) k - (5/4) sqrt(sum n_i(n_i-1)) - sqrt(sum_{i>=2} n_i)
 
     claimed nonnegative except exactly at (n_1, k) = (7, 2)."""
+    from fractions import Fraction
+
+    from .radicals import QuadExpr
+
     total, q, r, k = _smalll_sums(ns)
     value = QuadExpr.rational(Fraction(5 * total, 4) - Fraction(7 * k, 4))
     value -= QuadExpr.sqrt(q, Fraction(5, 4))

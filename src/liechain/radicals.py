@@ -289,3 +289,4 @@ class QuadExpr(Frozen):
 ALPHA = QuadExpr.sqrt(248) - QuadExpr.sqrt(128)
 BETA = QuadExpr.sqrt(2, Fraction(5, 4))
 BETA_INV = QuadExpr.sqrt(2, Fraction(2, 5))
+BETA_ALPHA = BETA * ALPHA

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -179,6 +180,43 @@ def test_check_theorems_bound_below_one_is_usage_error(capsys, bound):
     code, out, err = run(capsys, "check-theorems", "--max-degree", bound)
     assert code == 2 and out == ""
     assert err == f"error: --max-degree must be at least 1, got {bound}\n"
+
+
+def test_parser_suite_names_and_bound_are_the_suites_own():
+    from liechain import cli, suites
+
+    assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
+    assert cli.DEFAULT_MAX_DIM == suites.DEFAULT_MAX_DIM
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("--help",), "e0278af05773116cc18dc240646486dadbe549265535c8e9474c7da870e51b29"),
+    (("check-theorems", "--help"),
+     "6ed2e25b33a24463c92753228ecb82acc9c3805c754dc7148c354235a60fd33a"),
+])
+def test_help_text_is_unchanged(capsys, monkeypatch, argv, digest):
+    # the help as CPython 3.11's argparse renders it at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_unknown_suite_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["check-theorems", "--suite", "nosuch"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    names = "cd,complex,depbds,dimlen,general,lcd,ld,lendim,liedep,smalll,sqrt,tables"
+    assert captured.err == (
+        "usage: liechain check-theorems [-h]\n"
+        f"                               [--suite {{{names}}}]\n"
+        "                               [--max-degree MAX_DEGREE] [--json]\n"
+        "liechain check-theorems: error: argument --suite: invalid choice: 'nosuch' "
+        f"(choose from {', '.join(repr(name) for name in names.split(','))})\n")
 
 
 @pytest.mark.parametrize("argv", [("len", "E8"), ("maximals", "SO(7)")])

@@ -204,9 +204,9 @@ def test_cli_oracle_large_torus(capsys):
     assert capsys.readouterr().out == "length 20004  depth 20003\n"
 
 
-def _python(code):
+def _python(code, *args):
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=env, timeout=120)
 
 
@@ -232,6 +232,92 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     proc = _python("import sys, liechain, liechain.cli; "
                    "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# the modules only the theorem checks use: a query compiles none of them
+_DEFERRED = ("liechain.suites", "liechain.radicals", "fractions", "decimal")
+
+_QUERY_SESSION = """
+import contextlib, io, sys
+import liechain, liechain.cli
+
+deferred = set(sys.argv[1:])
+print(sorted(deferred & set(sys.modules)))
+for flags in ([], ["--json"]):
+    for argv in (["len", "SU(5) x G2"], ["depth", "SU(4) x Sp(4)"], ["cd", "SO(8) x T"],
+                 ["dims", "E8^3"], ["maximals", "SU(7)"], ["chain", "--max", "Sp(6) x T"],
+                 ["chain", "--min", "SU(3) x G2"], ["verify-chain", "-"],
+                 ["oracle", "SU(3) x SU(2)"]):
+        sys.stdin = io.StringIO("Sp(6) x T\\nSp(6)\\nSU(2) x Sp(4)\\nSp(4) x T\\nSp(4)\\n"
+                                "SU(2)^2\\nSU(2) x T\\nSU(2)\\nT\\n1\\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = liechain.cli.main(flags + argv)
+        print(" ".join(flags + argv), code, sorted(deferred & set(sys.modules)))
+"""
+
+
+def test_queries_load_neither_the_suites_nor_the_radicals():
+    # every command of the queries and large-inputs benchmark workloads, plain
+    # and --json, answers without the modules the theorem checks compile
+    proc = _python(_QUERY_SESSION, *_DEFERRED)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert len(lines) == 19
+    for line in lines[1:]:
+        assert line.endswith(" 0 []"), line
+
+
+def test_importing_the_suites_loads_the_radicals():
+    # the benchmark imports the suites before its timed sweep: the radical
+    # arithmetic must be compiled then, not in the first radical suite
+    proc = _python("import sys, liechain.suites; "
+                   f"print(sorted(set({_DEFERRED!r}) - set(sys.modules)))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# the public names of ``liechain``, by the module that defines each
+_EXPORTS = {
+    "chains": "Chain VerifyReport max_chain min_chain parse_chain_text verify_chain",
+    "errors": "IncompleteDatabaseError LieChainError MalformedTypeError ParseError "
+              "TrivialGroupError",
+    "formulas": "BoundsOrExact Check chain_difference check_dimlen check_lcd "
+                "check_sqrt_lower_bound depth depth_simple elem_inequalities f_classical "
+                "is_cd_one is_length_eq_depth lendim_formula length "
+                "length_complex_semisimple smalll_deficit",
+    "groups": "TRIVIAL GroupType SimpleType canonicalize iter_groups iter_semisimple "
+              "iter_simple_types parse_group product simple torus",
+    "oracle": "Oracle oracle_depth oracle_length",
+    "radicals": "ALPHA BETA QuadExpr",
+    "subgroups": "CURATED_SIMPLE CompletenessFlag EmbeddingKind MaximalEntry is_curated "
+                 "is_maximal_step maximal_connected min_irrep_dim",
+    "suites": "cross_validate",
+}
+
+
+def test_public_names_are_the_defining_modules_objects():
+    # read through the package first, in a fresh interpreter, so the names
+    # that load on first access are resolved by the package itself
+    proc = _python(f"""
+import importlib, liechain
+exports = {_EXPORTS!r}
+names = [(module, name) for module, names in exports.items() for name in names.split()]
+public = set(dir(liechain))
+got = [(module, name, getattr(liechain, name)) for module, name in names]
+print([name for module, name, value in got
+       if name not in public
+       or value is not getattr(importlib.import_module("liechain." + module), name)])
+print([module for module in exports
+       if getattr(liechain, module) is not importlib.import_module("liechain." + module)])
+""")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
+
+
+def test_an_unknown_package_attribute_raises_attribute_error():
+    import liechain
+
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        liechain.nosuch
 
 
 def test_oracle_long_chain_under_default_recursion_limit():
