@@ -1,13 +1,14 @@
 """Closed forms for length, depth and chain difference, plus the
 dimension/length inequalities, evaluated over exact radical arithmetic.
 
-The few functions that build radical values import ``radicals`` (and with
-it ``fractions``) when first called, so a query that asks for a length or a
-depth compiles neither."""
+The few functions that build radical values bind the names of ``radicals``
+(and of ``fractions``) on their first call, so a query that asks for a
+length or a depth compiles neither."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import Frozen, MalformedTypeError
@@ -16,7 +17,21 @@ from .oracle import oracle_depth
 from .subgroups import is_curated
 
 if TYPE_CHECKING:
-    from .radicals import QuadExpr
+    from fractions import Fraction
+
+    from .radicals import ALPHA, BETA, BETA_ALPHA, BETA_INV, QuadExpr
+else:
+    Fraction = ALPHA = BETA = BETA_ALPHA = BETA_INV = QuadExpr = None
+
+
+def _bind_radicals() -> None:
+    """Bind the radical names above, once per process.  ``QuadExpr`` is
+    bound last, so a thread that sees it bound sees them all."""
+    global Fraction, ALPHA, BETA, BETA_ALPHA, BETA_INV, QuadExpr
+    if QuadExpr is None:
+        from fractions import Fraction
+
+        from .radicals import ALPHA, BETA, BETA_ALPHA, BETA_INV, QuadExpr
 
 EXCEPTIONAL_LENGTH = {"G2": 5, "F4": 11, "E6": 13, "E7": 17, "E8": 20}
 
@@ -305,49 +320,72 @@ def check_dimlen(g: GroupType) -> list[Check]:
 # an integer comparison with an exact integer threshold, computed once per
 # distinct input: l >= beta (sqrt(dim) - xi) iff l >= ceil(beta (sqrt(dim) - xi))
 # for an integer l, and dim <= (beta^-1 (2cd + 2) + alpha)^2 iff dim is at
-# most its floor.  The floor and ceiling are exact (``QuadExpr.floor``): a
-# bound with an irrational part is never an integer, since 1 and the square
-# roots of distinct squarefree integers are linearly independent over Q, so
-# refining its interval until both ends have one floor terminates; a rational
-# bound, such as beta (sqrt(248) - alpha) = 20 at E8, is floored exactly.  A
-# bound is rendered only for a Check.  Bounded so a long-lived process stays
-# small.
+# most its floor.  A threshold is computed in integers: ``isqrt`` brackets
+# the bound between two neighbouring candidates and one exact comparison of
+# squares picks between them, so a rational bound, such as
+# beta (sqrt(248) - alpha) = 20 at E8, is met with equality.  A bound is
+# built as a ``QuadExpr`` only to render a failing Check.  Bounded so a
+# long-lived process stays small.
 _VERDICT_CACHE_SIZE = 4096
 
 # the simple families whose square-root bound subtracts alpha instead of 1
 _XI_ALPHA_FAMILIES = ("E6", "E7", "E8")
 
 
-@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def _sqrt_bound(dim: int, xi_is_alpha: bool) -> QuadExpr:
     """beta * (sqrt(dim) - xi), with xi = alpha or 1, built as
-    (5/4) sqrt(2 dim) - beta xi."""
-    from fractions import Fraction
-
-    from .radicals import BETA, BETA_ALPHA, QuadExpr
-
+    (5/4) sqrt(2 dim) - beta xi: the bound a failing Check renders."""
+    _bind_radicals()
     return QuadExpr.sqrt(2 * dim, Fraction(5, 4)) - (BETA_ALPHA if xi_is_alpha else BETA)
+
+
+def _le_sqrt(v: int, w: int, n: int) -> bool:
+    """Whether v <= w sqrt(n), exactly, for integers v, w and n >= 0."""
+    if w >= 0:
+        return v <= 0 or v * v <= w * w * n
+    return v <= 0 and v * v >= w * w * n
 
 
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def _sqrt_threshold(dim: int, xi_is_alpha: bool) -> int:
-    """The least length that meets ``_sqrt_bound(dim, xi_is_alpha)``."""
-    return _sqrt_bound(dim, xi_is_alpha).ceil()
+    """The least length that meets ``_sqrt_bound(dim, xi_is_alpha)``.
+
+    Four times the bound is sqrt(b) - sqrt(a) - c with b = 50 dim and
+    (a, c) = (12400, -80) for xi = alpha (4 beta alpha = 20 sqrt(31) - 80)
+    or (50, 0) for xi = 1 (4 beta = sqrt(50)).  It lies strictly within 1 of
+    d = isqrt(b) - isqrt(a) - c, so its ceiling over 4 is t = ceil((d - 1)/4)
+    or t + 1: t when p + sqrt(a) >= sqrt(b) for p = 4t + c, which holds iff
+    p + sqrt(a) >= 0 and, squared, b - a - p^2 <= 2p sqrt(a)."""
+    a, c = (12400, -80) if xi_is_alpha else (50, 0)
+    b = 50 * dim
+    t = (isqrt(b) - isqrt(a) - c + 2) // 4
+    p = 4 * t + c
+    meets = (p >= 0 or p * p <= a) and _le_sqrt(b - a - p * p, 2 * p, a)
+    return t if meets else t + 1
 
 
-@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def _quad_cd_bound(cd_low: int) -> QuadExpr:
-    """(beta^-1 * (2cd + 2) + alpha)^2."""
-    from .radicals import ALPHA, BETA_INV
-
+    """(beta^-1 * (2cd + 2) + alpha)^2: the bound a failing Check renders."""
+    _bind_radicals()
     root = BETA_INV * (2 * cd_low + 2) + ALPHA
     return root * root
 
 
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def _quad_cd_limit(cd_low: int) -> int:
-    """The largest dimension within ``_quad_cd_bound(cd_low)``."""
-    return _quad_cd_bound(cd_low).floor()
+    """The largest dimension within ``_quad_cd_bound(cd_low)``.
+
+    With u = 4cd - 36, 25 times the bound is e + w sqrt(31) for
+    e = 2u^2 + 6200 and w = 40u (five times its root is
+    u sqrt(2) + 10 sqrt(62)).  w sqrt(31) lies in [r, r + 1] for
+    r = isqrt(31 w^2) when w >= 0, else for r = -isqrt(31 w^2) - 1, so the
+    floor of the bound is m = (e + r + 1) // 25 or m - 1: m when
+    25m - e <= w sqrt(31)."""
+    u = 4 * cd_low - 36
+    e, w = 2 * u * u + 6200, 40 * u
+    r = isqrt(31 * w * w) if w >= 0 else -isqrt(31 * w * w) - 1
+    m = (e + r + 1) // 25
+    return m if _le_sqrt(25 * m - e, w, 31) else m - 1
 
 
 def sqrt_verdicts(z: int, counts: tuple, l_ss: int, dim_ss: int) -> tuple[bool, ...]:
@@ -362,8 +400,7 @@ def sqrt_verdicts(z: int, counts: tuple, l_ss: int, dim_ss: int) -> tuple[bool, 
 
 
 def check_sqrt_lower_bound(g: GroupType) -> list[Check]:
-    from .radicals import ALPHA, QuadExpr
-
+    _bind_radicals()
     total = length(g)
     z = g.torus_rank
     ok = sqrt_verdicts(z, g.counts, total - z, g.dim - z)
@@ -394,10 +431,7 @@ def check_sqrt_lower_bound(g: GroupType) -> list[Check]:
 def lendim_formula(s: SimpleType) -> QuadExpr:
     """The length of a classical simple group written as an exact radical
     function of its dimension d; agrees with ``length`` exactly."""
-    from fractions import Fraction
-
-    from .radicals import QuadExpr
-
+    _bind_radicals()
     if not s.is_classical:
         raise MalformedTypeError(f"classical type required, got {s}")
     d = s.dim
@@ -416,10 +450,7 @@ def elem_inequalities(x, y) -> tuple[Optional[bool], Optional[bool], Optional[bo
     (ii) x, y >= 3:    sqrt(x) + sqrt(y) >= sqrt(x+y) + 1
     (iii) x, y >= 78:  sqrt(x) + sqrt(y) >= sqrt(x+y) + alpha
     """
-    from fractions import Fraction
-
-    from .radicals import ALPHA, BETA, QuadExpr
-
+    _bind_radicals()
     x = Fraction(x)
     y = Fraction(y)
     first = second = third = None
@@ -452,10 +483,7 @@ def smalll_deficit(ns: Sequence[int]) -> QuadExpr:
         (5/4) sum n_i - (7/4) k - (5/4) sqrt(sum n_i(n_i-1)) - sqrt(sum_{i>=2} n_i)
 
     claimed nonnegative except exactly at (n_1, k) = (7, 2)."""
-    from fractions import Fraction
-
-    from .radicals import QuadExpr
-
+    _bind_radicals()
     total, q, r, k = _smalll_sums(ns)
     value = QuadExpr.rational(Fraction(5 * total, 4) - Fraction(7 * k, 4))
     value -= QuadExpr.sqrt(q, Fraction(5, 4))

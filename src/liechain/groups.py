@@ -43,64 +43,63 @@ def _check_classical_degree(family: str, degree: int) -> None:
         raise MalformedTypeError(f"SO({degree}) is not canonical (need n >= 7)")
 
 
+# family -> degree -> the one SimpleType of that family and degree
+_INTERNED: dict[str, dict[int, "SimpleType"]] = {family: {} for family in FAMILIES}
+_set = object.__setattr__
+
+
 class SimpleType(Frozen):
     """One canonical simple compact factor: a family plus a degree.
 
     The degree is the n of SU_n / Sp_n / SO_n and is 0 for the exceptional
     families.  Non-canonical values (SO_2..SO_6, Sp_2, SU_1, ...) are rejected
-    here; use :func:`canonicalize` to resolve them.
+    here; use :func:`canonicalize` to resolve them.  Each type is built once
+    and kept for the life of the process: equal types are the same object,
+    so they compare and hash by identity, and the values read on every sort
+    and sweep are stored.
     """
 
-    __slots__ = ("family", "degree")
+    __slots__ = ("family", "degree", "dim", "rank", "sort_key", "is_classical")
     family: str
     degree: int
+    dim: int
+    rank: int
+    sort_key: tuple[int, int]
+    is_classical: bool
 
-    def __init__(self, family: str, degree: int = 0):
+    def __new__(cls, family: str, degree: int = 0):
         if family not in FAMILIES:
             raise MalformedTypeError(f"unknown family {family!r}")
+        built = _INTERNED[family].get(degree)
+        if built is not None:
+            return built
+        if type(degree) is not int:
+            # 9.0 == 9: a type built from 9.0 would be handed to every later SO(9)
+            raise MalformedTypeError(f"{family} degree must be an integer, got {degree!r}")
         if family in _EXCEPTIONAL_DIMS:
             if degree:
                 raise MalformedTypeError(f"{family} takes no degree")
+            dim, rank = _EXCEPTIONAL_DIMS[family]
         else:
             _check_classical_degree(family, degree)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "degree", degree)
+            if family == "SU":
+                dim, rank = degree * degree - 1, degree - 1
+            elif family == "Sp":
+                dim, rank = degree * (degree + 1) // 2, degree // 2
+            else:
+                dim, rank = degree * (degree - 1) // 2, degree // 2
+        self = object.__new__(cls)
+        _set(self, "family", family)
+        _set(self, "degree", degree)
+        _set(self, "dim", dim)
+        _set(self, "rank", rank)
+        _set(self, "sort_key", (_FAMILY_ORDER[family], degree))
+        _set(self, "is_classical", family in CLASSICAL_FAMILIES)
+        # a thread that built the same type first wins, so there is one object
+        return _INTERNED[family].setdefault(degree, self)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.degree) == (other.family, other.degree)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.family, self.degree))
-
-    @property
-    def is_classical(self) -> bool:
-        return self.family in CLASSICAL_FAMILIES
-
-    @property
-    def dim(self) -> int:
-        if self.family == "SU":
-            return self.degree * self.degree - 1
-        if self.family == "Sp":
-            return self.degree * (self.degree + 1) // 2
-        if self.family == "SO":
-            return self.degree * (self.degree - 1) // 2
-        return _EXCEPTIONAL_DIMS[self.family][0]
-
-    @property
-    def rank(self) -> int:
-        if self.family == "SU":
-            return self.degree - 1
-        if self.family == "Sp":
-            return self.degree // 2
-        if self.family == "SO":
-            return self.degree // 2
-        return _EXCEPTIONAL_DIMS[self.family][1]
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (_FAMILY_ORDER[self.family], self.degree)
+    def __reduce__(self):
+        return SimpleType, (self.family, self.degree)
 
     def __str__(self) -> str:
         return f"{self.family}({self.degree})" if self.degree else self.family

@@ -280,3 +280,13 @@ def test_quad_cd_limit_against_direct_comparisons():
         assert _quad_cd_bound(cd) == bound
         m = _quad_cd_limit(cd)
         assert QuadExpr.rational(m) <= bound and not QuadExpr.rational(m + 1) <= bound
+
+
+def test_integer_thresholds_match_the_exact_ceiling_and_floor():
+    # the isqrt forms against QuadExpr's exact rounding over a wide range;
+    # each range takes both of the two candidates each form chooses between
+    for xi_is_alpha in (True, False):
+        for dim in range(1, 5001):
+            assert _sqrt_threshold(dim, xi_is_alpha) == _sqrt_bound(dim, xi_is_alpha).ceil()
+    for cd in range(0, 2001):
+        assert _quad_cd_limit(cd) == _quad_cd_bound(cd).floor()
