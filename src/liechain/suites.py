@@ -7,11 +7,11 @@ compares the closed forms with the brute force group by group.
 
 The sweeps over the enumeration read one record per semisimple part H
 (``Part``), built once per process (``_parts``, two bounds kept) and
-shared by every sweep.  ``formulas.depth(refine=True)`` is the one place
-that decides whether a depth is exact and when the oracle is asked for
-one; the record keeps its answer for H, and ``computed_*`` and
-``chains.min_chain`` ask it too.  A sweep decides each part from its
-record in integers, with the same verdict functions the
+shared by every sweep.  The record carries the closed-form depth of H,
+exact for tori and S^k; for a mixed product, the interval from the
+closed-form lower end up to ``formulas.merging_depth(H)``, the length of
+an explicit chain.  Building it asks no oracle.  A sweep decides each part
+from its record in integers, with the same verdict functions the
 ``formulas.check_*`` checks take ``passed`` from (``sqrt`` and ``lcd``
 compare with cached exact integer thresholds).  A part is decided at the
 representatives H (z = 0) and H x T (z = 1), or at T for the tori; when
@@ -20,12 +20,23 @@ built.  When one fails or is unresolved, every H x T^z of the range goes
 through the per-group check in order, so failures are rendered and listed
 exactly as a group-by-group sweep lists them.
 
+Of the sweeps over the enumeration, only that fall-back asks the oracle:
+``formulas.depth(refine=True)`` decides for the per-group checks
+(``computed_*``, ``check_lcd``) and for ``chains.min_chain`` whether a
+depth is exact and when the oracle is asked for one.  At the default
+bound it is asked only about SU_3 x SU_2 x T^z, which the published cd
+list names.  A part's verdict agrees with the
+per-group checks: the brute-force depth lies in the part's interval, so an
+interval that decides ``ld`` or ``cd`` decides it as the refined depth
+does, and ``check_lcd`` lowers its cd by the same merging chain, so its
+verdicts, monotone in the lower end of cd, pass wherever the part's do.
+
 Why a pass at z = 1 is a pass at every z >= 1.  Let G = H x T^z.  Then
 l(G) = L + z, dim G = D + z, rank G = rank H + z and G' = H.  The
-closed-form depth of G is that of H plus z, exact or interval alike; with
-``refine=True`` the brute-force depth is too, by the oracle's torus shift,
-and the refinement reads only the factors.  So cd(G x T) = cd(G), refined
-or not.  Per suite:
+closed-form depth of G is that of H plus z, exact or interval alike, and
+so is the merging chain's length; with ``refine=True`` the brute-force
+depth is too, by the oracle's torus shift, and the refinement reads only
+the factors.  So cd(G x T) = cd(G), refined or not.  Per suite:
 
 - general: r = rank - z and t are fixed, and z + 2r <= L + z <= z + 3r - t
   is 2r <= L <= 3r - t (a torus has L + z = z).
@@ -69,6 +80,7 @@ from .formulas import (
     length,
     length_complex_semisimple,
     length_simple,
+    merging_depth,
     smalll_sums_negative,
     sqrt_verdicts,
 )
@@ -110,13 +122,20 @@ class Part(NamedTuple):
     zs: range              # the torus ranks z with H x T^z in range
     dim: int               # D = dim H
     length: int            # L = l(H)
-    depth: BoundsOrExact   # depth(H, refine=True)
+    depth: BoundsOrExact   # depth(H), up to merging_depth(H) when mixed
+
+
+def _part_depth(h: GroupType) -> BoundsOrExact:
+    """The closed-form depth of ``h``, its upper end lowered to the merging
+    chain when it is an interval; the oracle is not asked."""
+    d = depth(h)
+    return d if d.is_exact else BoundsOrExact(d.lower, merging_depth(h))
 
 
 @lru_cache(maxsize=2)
 def _parts(max_dim: int) -> tuple[Part, ...]:
     """The records of ``iter_semisimple(max_dim)``, in its order."""
-    return tuple(Part(h, zs, h.dim, length(h), depth(h, refine=True))
+    return tuple(Part(h, zs, h.dim, length(h), _part_depth(h))
                  for h, zs in iter_semisimple(max_dim))
 
 

@@ -3,7 +3,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from liechain import formulas
 from liechain.errors import MalformedTypeError
 from liechain.formulas import (
     BoundsOrExact,
@@ -26,11 +28,15 @@ from liechain.formulas import (
     length,
     length_complex_semisimple,
     length_simple,
+    merging_depth,
+    min_step_simple,
     smalll_deficit,
     smalll_deficit_negative,
 )
-from liechain.groups import SimpleType, iter_simple_types, parse_group, simple
+from liechain.groups import SimpleType, iter_semisimple, iter_simple_types, parse_group, simple
+from liechain.oracle import oracle_depth
 from liechain.radicals import ALPHA, BETA, BETA_INV, QuadExpr
+from liechain.subgroups import YES, is_curated, is_maximal_step
 from liechain.suites import is_published_cd_one
 
 
@@ -196,6 +202,121 @@ def test_elem_inequalities():
     growth, sum_one, sum_alpha = elem_inequalities(78, 78)
     assert sum_alpha is True
     assert elem_inequalities(Fraction(1, 2), 1) == (None, None, None)
+
+
+def quad_elem_inequalities(x, y):
+    """The three elementary inequalities as ``QuadExpr`` comparisons, each
+    side built as written: the reference for ``elem_inequalities``."""
+    x, y = Fraction(x), Fraction(y)
+    first = second = third = None
+    if x >= 1:
+        first = QuadExpr.rational(1) + BETA * QuadExpr.sqrt(x) >= BETA * QuadExpr.sqrt(x + 1)
+    if x >= 3 and y >= 3:
+        second = QuadExpr.sqrt(x) + QuadExpr.sqrt(y) >= QuadExpr.sqrt(x + y) + 1
+    if x >= 78 and y >= 78:
+        third = QuadExpr.sqrt(x) + QuadExpr.sqrt(y) >= QuadExpr.sqrt(x + y) + ALPHA
+    return first, second, third
+
+
+# the rational grid of the sqrt suite
+_ELEM_GRID = [Fraction(1), Fraction(3, 2), Fraction(3), Fraction(7), Fraction(25, 2),
+              Fraction(78), Fraction(100), Fraction(625, 4)]
+
+
+def _counted_signs(monkeypatch):
+    signs = []
+    sign = QuadExpr.sign
+    monkeypatch.setattr(QuadExpr, "sign", lambda v: signs.append(v) or sign(v))
+    return signs
+
+
+def test_elem_inequalities_match_quadexpr_on_the_suite_grid(monkeypatch):
+    want = {(x, y): quad_elem_inequalities(x, y) for x in _ELEM_GRID for y in _ELEM_GRID}
+    signs = _counted_signs(monkeypatch)
+    for (x, y), verdicts in want.items():
+        assert elem_inequalities(x, y) == verdicts, (x, y)
+    assert signs == []  # every pair decided in integers
+
+
+def test_elem_inequalities_fall_back_where_the_brackets_overlap(monkeypatch):
+    # unscaled brackets are too coarse to separate the sides of (iii), so the
+    # QuadExpr comparison decides, with the same verdicts
+    monkeypatch.setattr(formulas, "_BRACKET_BITS", 0)
+    signs = _counted_signs(monkeypatch)
+    for x in _ELEM_GRID[5:]:
+        for y in _ELEM_GRID[5:]:
+            signs.clear()
+            assert elem_inequalities(x, y) == quad_elem_inequalities(x, y), (x, y)
+            assert signs, (x, y)
+
+
+_RATIONALS = st.one_of(st.fractions(0, 20, max_denominator=64),
+                       st.fractions(70, 2000, max_denominator=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+def test_elem_inequalities_match_quadexpr_on_rationals(x, y):
+    assert elem_inequalities(x, y) == quad_elem_inequalities(x, y)
+
+
+def merging_chain(g):
+    """The nodes of the merging chain of ``g``, built as ``merging_depth``
+    describes it: diagonals first, then shortest steps by decreasing
+    ``depth_simple`` with a diagonal merge where a step meets a factor
+    already present, then the torus drops."""
+    nodes = [g]
+    for s, k in g.counts:
+        for _ in range(k - 1):
+            nodes.append(nodes[-1].drop_one(s))
+    while nodes[-1].counts:
+        s = max((s for s, _ in nodes[-1].counts), key=depth_simple)
+        below = min_step_simple(s)
+        nodes.append(nodes[-1].replace_one(s, below))
+        if any(k > 1 for _, k in nodes[-1].counts):
+            nodes.append(nodes[-1].drop_one(below.counts[0][0]))
+    while nodes[-1].torus_rank:
+        nodes.append(nodes[-1].with_torus(-1))
+    return nodes
+
+
+def test_merging_chain_steps_are_maximal_and_count_the_bound():
+    # named groups, non-curated and exceptional ones included, and every
+    # 23rd part of dim <= 40 at its first two torus ranks
+    groups = [parse_group(spec) for spec in (
+        "SU(4) x Sp(4)", "SU(7) x SU(2)", "E8 x SO(20) x SU(7)^2 x T^3",
+        "E6 x F4 x G2 x SO(9)", "SU(12) x Sp(10)^3 x SO(8) x SU(3) x T",
+        "SO(10) x SO(9) x SO(8) x SO(7) x SU(2)^4", "SU(5)^2 x T^2", "E7 x T", "T^4")]
+    groups += [h.with_torus(z) for i, (h, zs) in enumerate(iter_semisimple(40))
+               if i % 23 == 0 for z in zs[:2]]
+    for g in groups:
+        nodes = merging_chain(g)
+        assert nodes[-1].is_trivial, g
+        for parent, child in itertools.pairwise(nodes):
+            assert is_maximal_step(parent, child) == YES, (parent, child)
+        assert len(nodes) - 1 == merging_depth(g), g
+
+
+def test_merging_depth_bounds_the_depth_at_dim_60():
+    # exact off the mixed products; on them within the closed-form interval,
+    # never below the brute force, and shifted by the torus rank
+    curated = met = bounded = closed = 0
+    for h, zs in iter_semisimple(60):
+        bound = merging_depth(h)
+        assert merging_depth(h.with_torus(zs[-1])) == bound + zs[-1]
+        d = depth(h)
+        if len(h.counts) < 2:
+            assert bound == d.exact_value, h
+            continue
+        assert d.lower <= bound <= d.upper, h
+        if is_curated(h):
+            brute = oracle_depth(h)
+            assert bound >= brute, h
+            curated, met = curated + 1, met + (bound == brute)
+        else:
+            bounded, closed = bounded + 1, closed + (bound == d.lower)
+    assert (curated, met) == (1360, 1294)
+    assert (bounded, closed) == (112, 56)
 
 
 def test_smalll_deficit():

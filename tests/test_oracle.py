@@ -11,7 +11,7 @@ from liechain import suites
 from liechain.cli import main
 from liechain.errors import IncompleteDatabaseError
 from liechain.formulas import depth, depth_simple, length
-from liechain.groups import GroupType, SimpleType, iter_groups, parse_group, torus
+from liechain.groups import GroupType, SimpleType, iter_groups, iter_semisimple, parse_group, torus
 from liechain.oracle import Oracle, oracle_depth, oracle_length
 from liechain.subgroups import CURATED_SIMPLE, is_curated, maximal_connected, maximal_steps
 from liechain.suites import cross_validate, run_suites
@@ -161,11 +161,14 @@ def test_torus_stripped_memo_matches_full_type_recursion():
 
 
 def test_vector_fill_matches_group_fill_node_for_node(monkeypatch):
-    # every node the default sweep asks for, from a fresh shared oracle
+    # every node below depbds and below each curated mixed part of dim <= 60,
+    # from a fresh shared oracle
     fresh = Oracle()
     monkeypatch.setattr("liechain.oracle._default", fresh)
-    suites._parts.cache_clear()
-    run_suites(["cd", "depbds"], 60)
+    run_suites(["depbds"], 60)
+    for h, _ in iter_semisimple(60):
+        if len(h.counts) > 1 and is_curated(h):
+            oracle_depth(h)
     memo = fresh.table
     assert len(memo) == 2220
     reference = {}
@@ -173,6 +176,17 @@ def test_vector_fill_matches_group_fill_node_for_node(monkeypatch):
         if h not in reference:
             group_fill(h, reference)
     assert reference == memo
+
+
+def test_enumeration_sweeps_ask_the_oracle_only_to_fall_back(monkeypatch):
+    # the part records bound mixed depths by the merging chain; the oracle
+    # settles only the SU(2) x SU(3) x T^z the published cd list names
+    fresh = Oracle()
+    monkeypatch.setattr("liechain.oracle._default", fresh)
+    suites._parts.cache_clear()
+    run_suites(["general", "dimlen", "sqrt", "ld", "cd", "lcd"], 60)
+    assert set(fresh.table) == {parse_group(spec) for spec in
+                                ("SU(2)", "SU(3)", "SU(2)^2", "SU(2) x SU(3)")}
 
 
 def test_vector_fill_matches_full_type_recursion_on_curated_powers():
