@@ -539,11 +539,6 @@ def smalll_deficit(ns: Sequence[int]) -> QuadExpr:
     return value
 
 
-def smalll_deficit_negative(ns: Sequence[int]) -> bool:
-    """Whether ``smalll_deficit(ns)`` is negative, decided in integers."""
-    return smalll_sums_negative(*_smalll_sums(ns))
-
-
 def smalll_sums_negative(total: int, q: int, r: int, k: int) -> bool:
     """Whether the deficit of a valid tuple is negative, from its sums
     S = sum n_i, Q = sum n_i(n_i-1), R = sum_{i>=2} n_i and its size k.

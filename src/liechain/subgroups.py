@@ -4,8 +4,9 @@ For a classical simple group the candidates are generated from the parameter
 families (reducible stabilizers, the half-rank Levi, tensor product
 subgroups, and the symplectic/orthogonal subgroups of SU_n), plus a small
 curated list of irreducible simple subgroups.  The exceptional groups carry
-their fixed subgroup tables.  Each candidate is built once, unsorted, from
-``canonicalize``d factors whose products merge in one pass, and the
+their fixed subgroup tables.  Each candidate is built once, unsorted: a
+reducible entry of SU_n as one group of interned simple types, the others
+from ``canonicalize``d factors whose products merge in one pass.  The
 candidates are deduplicated, so e.g. the SO_4 subgroup of SU_4 and the 2x2
 tensor subgroup collapse into one SU_2 x SU_2 entry.
 
@@ -176,10 +177,20 @@ def _divisor_pairs(n: int) -> Iterable[tuple[int, int]]:
         d += 1
 
 
+def _reducible_su(n: int, k: int) -> GroupType:
+    """S(U_k x U_{n-k}) = SU_k x SU_{n-k} x T for 1 <= k <= n/2, built in
+    canonical order: SU_1 is trivial, so k = 1 gives SU_{n-1} x T (T for
+    n = 2), and n = 2k gives SU_k^2 x T."""
+    if k == 1:
+        return _canonical(1, ((SimpleType("SU", n - 1), 1),) if n > 2 else ())
+    if 2 * k == n:
+        return _canonical(1, ((SimpleType("SU", k), 2),))
+    return _canonical(1, ((SimpleType("SU", k), 1), (SimpleType("SU", n - k), 1)))
+
+
 def _candidates_su(n: int):
     for k in range(1, n // 2 + 1):
-        child = canonicalize("SU", k) * canonicalize("SU", n - k)
-        yield child.with_torus(1), EmbeddingKind.reducible(k)
+        yield _reducible_su(n, k), EmbeddingKind.reducible(k)
     # symplectic/orthogonal forms preserved inside SU_n
     if n >= 4 and n % 2 == 0:
         yield canonicalize("Sp", n), EmbeddingKind.classical_in_su("Sp")

@@ -10,7 +10,14 @@ The sweeps over the enumeration read one record per semisimple part H
 shared by every sweep.  The record carries the closed-form depth of H,
 exact for tori and S^k; for a mixed product, the interval from the
 closed-form lower end up to ``formulas.merging_depth(H)``, the length of
-an explicit chain.  Building it asks no oracle.  A sweep decides each part
+an explicit chain.  Building it asks no oracle, and no closed form is
+evaluated on H itself: each closed form is a sum over the factors, so the
+record of H = H_0 x S is that of H_0, its parent in the enumeration's
+preorder, plus the terms of S.  dim, l and rank add those of S; the lower
+end of the depth, sum(k + 1) over the pairs (S, k), adds 2 for a new
+factor and 1 for one more copy; the merging chain's length, the factor
+count plus the size of the union of the factors' shortest-chain types,
+adds 1 and, for a new factor only, the types of S.  A sweep decides each part
 from its record in integers, with the same verdict functions the
 ``formulas.check_*`` checks take ``passed`` from (``sqrt`` and ``lcd``
 compare with cached exact integer thresholds).  A part is decided at the
@@ -62,6 +69,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .formulas import (
+    _min_path,
     BoundsOrExact,
     Check,
     chain_difference,
@@ -80,7 +88,6 @@ from .formulas import (
     length,
     length_complex_semisimple,
     length_simple,
-    merging_depth,
     smalll_sums_negative,
     sqrt_verdicts,
 )
@@ -123,20 +130,67 @@ class Part(NamedTuple):
     dim: int               # D = dim H
     length: int            # L = l(H)
     depth: BoundsOrExact   # depth(H), up to merging_depth(H) when mixed
-
-
-def _part_depth(h: GroupType) -> BoundsOrExact:
-    """The closed-form depth of ``h``, its upper end lowered to the merging
-    chain when it is an interval; the oracle is not asked."""
-    d = depth(h)
-    return d if d.is_exact else BoundsOrExact(d.lower, merging_depth(h))
+    rank: int              # rank H
+    factors: int           # n, the simple factors of H counted with multiplicity
 
 
 @lru_cache(maxsize=2)
 def _parts(max_dim: int) -> tuple[Part, ...]:
-    """The records of ``iter_semisimple(max_dim)``, in its order."""
-    return tuple(Part(h, zs, h.dim, length(h), _part_depth(h))
-                 for h, zs in iter_semisimple(max_dim))
+    """The records of ``iter_semisimple(max_dim)``, in its order, folded
+    along its preorder.
+
+    The parent of a part H = H_0 x S, S its last factor, is H_0, with one
+    copy of S fewer; in preorder it is the last part seen with one factor
+    fewer.  So the fold keeps a stack of rows, one per factor count, from
+    the trivial part down to the last part seen: dims grow along it, so the
+    parent is the row of dim D - dim S.  A record is its parent's row plus
+    the data of S, each closed form being a sum over the factors:
+
+    - dim, l and rank add dim S, l(S) and rank S, and n adds 1;
+    - the lower end of ``depth``, sum(k + 1) over the pairs (S, k), adds 2
+      when S is a new factor (k = 1) and 1 when it is one more copy;
+    - ``merging_depth``, n + |U| for U the union of the factors'
+      ``_min_path``s, adds 1 to n, and U gains ``_min_path(S)`` only when
+      S is a new factor.
+
+    A part with one pair S^k takes n + |U| = k + depth_simple(S) - 1 as its
+    exact depth, since |_min_path(S)| = depth_simple(S) - 1; a mixed part
+    takes the interval [sum(k + 1), n + |U|]."""
+    parts = iter_semisimple(max_dim)
+    h, zs = next(parts)  # the trivial part, the root of the preorder
+    out = [Part(h, zs, 0, 0, BoundsOrExact.exact(0), 0, 0)]
+    # rows[n]: (dim, l, rank, lower end of depth, U) of the last part with n factors
+    rows = [(0, 0, 0, 0, frozenset())]
+    per_type: dict[SimpleType, tuple] = {}
+    # equal depths share one immutable object: 51 distinct ones stand for
+    # the 1,530 records at dim 60, 206 for the 526,630 at dim 150
+    depths: dict[tuple[int, int], BoundsOrExact] = {}
+    for h, zs in parts:
+        counts = h.counts
+        s, k = counts[-1]
+        data = per_type.get(s)
+        if data is None:
+            data = per_type[s] = (s.dim, length_simple(s), s.rank, _min_path(s))
+        s_dim, s_length, s_rank, s_path = data
+        dim = max_dim + 1 - zs.stop  # zs is 0..max_dim - D
+        while rows[-1][0] != dim - s_dim:
+            rows.pop()
+        n = len(rows)
+        _, l, rank, lower, union = rows[-1]
+        l += s_length
+        rank += s_rank
+        if k == 1:
+            lower, union = lower + 2, union | s_path
+        else:
+            lower += 1
+        rows.append((dim, l, rank, lower, union))
+        upper = n + len(union)
+        key = (upper if len(counts) == 1 else lower, upper)
+        d = depths.get(key)
+        if d is None:
+            d = depths[key] = BoundsOrExact(*key)
+        out.append(Part(h, zs, dim, l, d, rank, n))
+    return tuple(out)
 
 
 def _by_part(parts: Iterable[Part],
@@ -156,8 +210,7 @@ def _by_part(parts: Iterable[Part],
 # -- per-part verdicts, one per sweep: whether H x T^z passes --------------------
 
 def _rank_bounds_hold(p: Part, z: int) -> bool:
-    t = sum(k for _, k in p.h.counts)
-    r = p.h.rank
+    t, r = p.factors, p.rank
     return 2 * r <= p.length <= 3 * r - t if t else p.length == 0
 
 

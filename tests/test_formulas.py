@@ -31,7 +31,6 @@ from liechain.formulas import (
     merging_depth,
     min_step_simple,
     smalll_deficit,
-    smalll_deficit_negative,
 )
 from liechain.groups import SimpleType, iter_semisimple, iter_simple_types, parse_group, simple
 from liechain.oracle import oracle_depth
@@ -330,6 +329,12 @@ def test_smalll_deficit():
         smalll_deficit((7, 8))
     with pytest.raises(MalformedTypeError):
         smalll_deficit((8, 6))
+
+
+def smalll_deficit_negative(ns):
+    """Whether ``smalll_deficit(ns)`` is negative, decided in integers from
+    the tuple's sums, as ``suite_smalll`` decides it."""
+    return formulas.smalll_sums_negative(*formulas._smalll_sums(ns))
 
 
 def test_smalll_integer_sign_matches_exact_deficit():

@@ -234,6 +234,20 @@ def test_tables_match_the_reference_generators():
                         else CompletenessFlag(False, f"outside curated coverage set: {s}"))
 
 
+def test_su_candidates_match_the_product_construction():
+    # each reducible entry of SU(n) is built in one piece, SU(1) = 1 (k = 1,
+    # and T at n = 2) and SU(k)^2 (n = 2k) included: every candidate, its
+    # kind and its place equal the product of canonical factors with a torus
+    # and the reference generator
+    for n in range(2, 301):
+        built = list(_candidates(SimpleType("SU", n)))
+        products = [((canonicalize("SU", k) * canonicalize("SU", n - k)).with_torus(1),
+                     EmbeddingKind.reducible(k)) for k in range(1, n // 2 + 1)]
+        assert built[:len(products)] == products, n
+        assert built == list(_reference_candidates(SimpleType("SU", n))), n
+    assert list(_candidates(SimpleType("SU", 2)))[0] == (torus(1), EmbeddingKind.reducible(1))
+
+
 def test_cold_table_sorts_no_group_and_reads_each_dim_once(monkeypatch):
     # every candidate is built from canonical pieces, none by the sorting
     # constructor, and each entry's dim is read once, where it is ordered

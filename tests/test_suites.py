@@ -11,6 +11,7 @@ from liechain import formulas, suites
 from liechain.chains import min_chain
 from liechain.cli import main
 from liechain.formulas import (
+    BoundsOrExact,
     Check,
     chain_difference,
     check_dimlen,
@@ -20,6 +21,7 @@ from liechain.formulas import (
     is_length_eq_depth,
     lcd_verdicts,
     length,
+    merging_depth,
 )
 from liechain.groups import GroupType, SimpleType, iter_groups, iter_semisimple, iter_simple_types
 from liechain.oracle import oracle_depth
@@ -88,6 +90,18 @@ def test_check_theorems_output_matches_pinned_digest(name, capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _suite_digests()[name]
     assert code == (1 if name == "cd" else 0)
+
+
+# sha256 of `liechain --json check-theorems --max-degree 100`: there the
+# sweeps decide the 7,580 mixed parts outside the curated set (7,468 of
+# them above the default bound) from their records alone; only cd fails
+DIM_100_DIGEST = "7b68b753e9c19fa9c2d657ccf03927e4493fa75391fbcc669a7962f48052a353"
+
+
+def test_check_theorems_at_dim_100_matches_pinned_digest(capsys):
+    code = main(["--json", "check-theorems", "--max-degree", "100"])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DIM_100_DIGEST
+    assert code == 1
 
 
 # -- the per-part sweep against group-by-group loops ------------------------------
@@ -256,6 +270,20 @@ def test_part_verdicts_agree_with_the_per_group_checks(holds, reference):
             seen.append(g)
             assert holds(p, z) == reference(g), g
     assert seen == list(iter_groups(30))
+
+
+@pytest.mark.parametrize("max_dim", [40, 45, 60, 70, 100])
+def test_part_records_are_the_closed_forms(max_dim):
+    # each record, folded from its parent's, is what the closed forms give
+    # for its part on its own; a mixed depth ends at the merging chain
+    parts = suites._parts(max_dim)
+    assert [(p.h, p.zs) for p in parts] == list(iter_semisimple(max_dim))
+    for p in parts:
+        h = p.h
+        d = depth(h)
+        want = d if d.is_exact else BoundsOrExact(d.lower, merging_depth(h))
+        assert (p.dim, p.length, p.rank, p.factors, p.depth) == (
+            h.dim, length(h), h.rank, sum(k for _, k in h.counts), want), h
 
 
 def test_lcd_passes_at_dim_100():
