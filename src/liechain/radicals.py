@@ -122,23 +122,9 @@ class QuadExpr(Frozen):
 
     def bounds(self, prec_bits: int) -> tuple[Fraction, Fraction]:
         """Rational lower/upper bounds tight to about 2**-prec_bits per term."""
-        lo = hi = Fraction(0)
-        scale = 1 << prec_bits
-        for m, c in self.terms:
-            if m == 1:
-                lo += c
-                hi += c
-                continue
-            s = isqrt(m * scale * scale)
-            root_lo = Fraction(s, scale)
-            root_hi = Fraction(s + 1, scale)
-            if c >= 0:
-                lo += c * root_lo
-                hi += c * root_hi
-            else:
-                lo += c * root_hi
-                hi += c * root_lo
-        return lo, hi
+        den, scaled = self._scaled()
+        lo, hi = self._int_bounds(scaled, prec_bits)
+        return Fraction(lo, den << prec_bits), Fraction(hi, den << prec_bits)
 
     def _scaled(self) -> tuple[int, list[tuple[int, int]]]:
         """(den, [(m, a)]): the terms as integers a = c * den over the

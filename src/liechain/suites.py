@@ -5,27 +5,23 @@ bounded search space (total dimension for group enumerations, degree for
 per-family scans) and returns a list of Check records.  ``cross_validate``
 compares the closed forms with the brute force group by group.
 
-The sweeps over the enumeration read one record per semisimple part H
-(``Part``), built once per process (``_parts``, two bounds kept) and
-shared by every sweep.  The record carries the closed-form depth of H,
-exact for tori and S^k; for a mixed product, the interval from the
-closed-form lower end up to ``formulas.merging_depth(H)``, the length of
-an explicit chain.  Building it asks no oracle, and no closed form is
+The sweeps over the enumeration read one pass per bound (``_decided``, two
+bounds kept), which walks one record per semisimple part H (``Part``,
+folded by ``_parts``) and keeps only the count of groups and, per sweep,
+the parts it could not decide.  The record carries the closed-form depth of
+H, exact for tori and S^k; for a mixed product, the interval from the
+closed-form lower end up to ``formulas.merging_depth(H)``, the length of an
+explicit chain.  Building it asks no oracle, and no closed form is
 evaluated on H itself: each closed form is a sum over the factors, so the
 record of H = H_0 x S is that of H_0, its parent in the enumeration's
-preorder, plus the terms of S.  dim, l and rank add those of S; the lower
-end of the depth, sum(k + 1) over the pairs (S, k), adds 2 for a new
-factor and 1 for one more copy; the merging chain's length, the factor
-count plus the size of the union of the factors' shortest-chain types,
-adds 1 and, for a new factor only, the types of S.  A sweep decides each part
-from its record in integers, with the same verdict functions the
-``formulas.check_*`` checks take ``passed`` from (``sqrt`` and ``lcd``
-compare with cached exact integer thresholds).  A part is decided at the
-representatives H (z = 0) and H x T (z = 1), or at T for the tori; when
-they all pass, every torus rank of the range passes, and no Check is
-built.  When one fails or is unresolved, every H x T^z of the range goes
-through the per-group check in order, so failures are rendered and listed
-exactly as a group-by-group sweep lists them.
+preorder, plus the terms of S.  The pass decides each part in integers,
+with the verdict functions the ``formulas.check_*`` checks take ``passed``
+from (``sqrt`` and ``lcd`` compare with cached exact integer thresholds),
+at the representatives H (z = 0) and H x T (z = 1), or at T for the tori;
+when they all pass, every torus rank of the range passes, and no Check is
+built.  Otherwise the sweep sends every H x T^z of the range through the
+per-group check in order, so failures are rendered and listed exactly as a
+group-by-group sweep lists them.
 
 Of the sweeps over the enumeration, only that fall-back asks the oracle:
 ``formulas.depth(refine=True)`` decides for the per-group checks
@@ -134,10 +130,9 @@ class Part(NamedTuple):
     factors: int           # n, the simple factors of H counted with multiplicity
 
 
-@lru_cache(maxsize=2)
-def _parts(max_dim: int) -> tuple[Part, ...]:
-    """The records of ``iter_semisimple(max_dim)``, in its order, folded
-    along its preorder.
+def _parts(max_dim: int) -> Iterator[Part]:
+    """The records of ``iter_semisimple(max_dim)``, yielded in its order and
+    kept by no one, folded along its preorder.
 
     The parent of a part H = H_0 x S, S its last factor, is H_0, with one
     copy of S fewer; in preorder it is the last part seen with one factor
@@ -158,12 +153,12 @@ def _parts(max_dim: int) -> tuple[Part, ...]:
     takes the interval [sum(k + 1), n + |U|]."""
     parts = iter_semisimple(max_dim)
     h, zs = next(parts)  # the trivial part, the root of the preorder
-    out = [Part(h, zs, 0, 0, BoundsOrExact.exact(0), 0, 0)]
+    yield Part(h, zs, 0, 0, BoundsOrExact.exact(0), 0, 0)
     # rows[n]: (dim, l, rank, lower end of depth, U) of the last part with n factors
     rows = [(0, 0, 0, 0, frozenset())]
     per_type: dict[SimpleType, tuple] = {}
-    # equal depths share one immutable object: 51 distinct ones stand for
-    # the 1,530 records at dim 60, 206 for the 526,630 at dim 150
+    # equal depths share one object, so a record builds none of its own: 51
+    # distinct ones serve the 1,530 records at dim 60, 206 the 526,630 at 150
     depths: dict[tuple[int, int], BoundsOrExact] = {}
     for h, zs in parts:
         counts = h.counts
@@ -189,22 +184,7 @@ def _parts(max_dim: int) -> tuple[Part, ...]:
         d = depths.get(key)
         if d is None:
             d = depths[key] = BoundsOrExact(*key)
-        out.append(Part(h, zs, dim, l, d, rank, n))
-    return tuple(out)
-
-
-def _by_part(parts: Iterable[Part],
-             holds: Callable[[Part, int], bool]) -> Iterator[tuple[Part, list[GroupType]]]:
-    """Each part with the groups H x T^z left to check one by one: none when
-    ``holds`` at the representatives (the first rank, and 1 when the ranks
-    start at 0), every one in order otherwise."""
-    for p in parts:
-        zs = p.zs
-        representatives = zs[:2] if zs[0] == 0 else zs[:1]
-        if all(holds(p, z) for z in representatives):
-            yield p, []
-        else:
-            yield p, [p.h.with_torus(z) for z in zs]
+        yield Part(h, zs, dim, l, d, rank, n)
 
 
 # -- per-part verdicts, one per sweep: whether H x T^z passes --------------------
@@ -251,15 +231,45 @@ def _superadditive_holds(p: Part, z: int) -> bool:
     return _superadditive(p.h.counts, chain_difference(p.h).lower)
 
 
-def _classification(name: str, max_dim: int, holds: Callable[[Part, int], bool],
+# the verdict of each enumeration sweep, by the name the pass files it under;
+# superadditivity is checked up to dim 40 only
+_VERDICTS = (("general", _rank_bounds_hold), ("dimlen", _dimlen_holds),
+             ("sqrt", _sqrt_holds), ("ld", _ld_holds), ("cd", _cd_holds),
+             ("lcd", _lcd_holds))
+_SMALL_VERDICTS = _VERDICTS + (("superadditive", _superadditive_holds),)
+
+
+@lru_cache(maxsize=2)
+def _decided(max_dim: int) -> tuple[int, dict[str, list[tuple[int, Part]]]]:
+    """One walk of ``_parts(max_dim)`` that decides each verdict of each part
+    at its representatives, the first torus rank and 1 when the ranks start
+    at 0: the count of groups in range and, per verdict, the parts it left
+    undecided, each with the count of groups before it."""
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
+    small = min(max_dim, 40)
+    undecided: dict[str, list[tuple[int, Part]]] = {name: [] for name, _ in _SMALL_VERDICTS}
+    scanned = 0
+    for p in _parts(max_dim):
+        zs = p.zs
+        representatives = zs[:2] if zs[0] == 0 else zs[:1]
+        for name, holds in _VERDICTS if p.dim > small else _SMALL_VERDICTS:
+            for z in representatives:
+                if not holds(p, z):
+                    undecided[name].append((scanned, p))
+                    break
+        scanned += len(zs)
+    return scanned, undecided
+
+
+def _classification(claim: str, max_dim: int, verdict: str,
                     predicate: Callable[[GroupType], bool],
                     computed: Callable[[GroupType], Optional[bool]]) -> list[Check]:
-    scanned = 0
+    scanned, undecided = _decided(max_dim)
     mismatches: list[str] = []
     unresolved: list[str] = []
-    for p, groups in _by_part(_parts(max_dim), holds):
-        scanned += len(p.zs)
-        for g in groups:
+    for _, p in undecided[verdict]:
+        for g in map(p.h.with_torus, p.zs):
             want = predicate(g)
             got = computed(g)
             if got is None:
@@ -267,7 +277,7 @@ def _classification(name: str, max_dim: int, holds: Callable[[Part, int], bool],
             elif got != want:
                 mismatches.append(f"{g} (computed={got}, characterized={want})")
     return [Check(
-        name,
+        claim,
         {"max_dim": max_dim, "groups_scanned": scanned,
          "mismatches": mismatches[:8], "unresolved": unresolved[:8]},
         f"mismatches = {len(mismatches)}",
@@ -284,16 +294,14 @@ def _verdict(claim: str, inputs: dict, noun: str, bad: list,
                  "expected 0", not bad)
 
 
-def _sweep(claim: str, max_dim: int, holds: Callable[[Part, int], bool],
+def _sweep(claim: str, max_dim: int, verdict: str,
            checker: Callable[[GroupType], list[Check]]) -> Check:
     """Every per-group check of ``checker`` over the enumeration, as one
-    verdict on the failed ones; ``holds`` decides a part without it."""
-    scanned = 0
-    failures: list[str] = []
-    for p, groups in _by_part(_parts(max_dim), holds):
-        scanned += len(p.zs)
-        for g in groups:
-            failures += [f"{g}: {check.claim}" for check in checker(g) if not check.passed]
+    verdict on the failed ones; the pass decides the parts ``verdict``
+    holds on without it."""
+    scanned, undecided = _decided(max_dim)
+    failures = [f"{g}: {check.claim}" for _, p in undecided[verdict]
+                for g in map(p.h.with_torus, p.zs) for check in checker(g) if not check.passed]
     return _verdict(claim, {"max_dim": max_dim, "groups_scanned": scanned},
                     "failures", failures)
 
@@ -303,15 +311,12 @@ def _sweep(claim: str, max_dim: int, holds: Callable[[Part, int], bool],
 def suite_general(max_dim: int) -> list[Check]:
     """Rank bounds on the length of every enumerated group."""
     worst = None
-    scanned = 0
-    for p, groups in _by_part(_parts(max_dim), _rank_bounds_hold):
-        bad = next((i for i, g in enumerate(groups)
-                    if not _rank_bounds_hold(p, g.torus_rank)), None)
-        if bad is None:
-            scanned += len(p.zs)
-        else:
-            scanned += bad + 1  # the first failure ends the scan
-            worst = str(groups[bad])
+    scanned, undecided = _decided(max_dim)
+    for before, p in undecided["general"]:
+        bad = next((i for i, z in enumerate(p.zs) if not _rank_bounds_hold(p, z)), None)
+        if bad is not None:
+            scanned = before + bad + 1  # the first failure ends the scan
+            worst = str(p.h.with_torus(p.zs[bad]))
             break
     return [Check(
         "length within the rank bounds z+2r <= l <= z+3r-t",
@@ -325,7 +330,7 @@ def suite_general(max_dim: int) -> list[Check]:
 def suite_dimlen(max_dim: int) -> list[Check]:
     """Dimension-deficit bounds for every enumerated group."""
     return [_sweep("dimension deficit bounds over the enumeration", max_dim,
-                   _dimlen_holds, check_dimlen)]
+                   "dimlen", check_dimlen)]
 
 
 def suite_sqrt(max_dim: int) -> list[Check]:
@@ -342,7 +347,7 @@ def suite_sqrt(max_dim: int) -> list[Check]:
                     elem_bad.append(f"({x},{y}) {label}")
     return [
         _sweep("square-root dimension lower bound over the enumeration", max_dim,
-               _sqrt_holds, check_sqrt_lower_bound),
+               "sqrt", check_sqrt_lower_bound),
         _verdict("elementary square-root inequalities on a rational grid",
                  {"grid": [str(q) for q in grid]}, "failures", elem_bad, None),
     ]
@@ -419,7 +424,7 @@ def suite_ld(max_dim: int) -> list[Check]:
     times a torus."""
     return _classification(
         "length equals depth exactly for tori and SU(2) x torus",
-        max_dim, _ld_holds, is_length_eq_depth, computed_length_eq_depth)
+        max_dim, "ld", is_length_eq_depth, computed_length_eq_depth)
 
 
 # the chain-difference-one list as published: commutator SU_3, SU_2^2 or
@@ -443,28 +448,27 @@ def suite_cd(max_dim: int) -> list[Check]:
     corrected classification."""
     return _classification(
         "chain difference one matches the published list",
-        max_dim, _cd_holds, is_published_cd_one, computed_cd_is_one)
+        max_dim, "cd", is_published_cd_one, computed_cd_is_one)
 
 
 def suite_lcd(max_dim: int) -> list[Check]:
     """Semisimple length against the chain difference, over the enumeration,
     with equality spot-checked at SU(2)^k."""
     out = [_sweep("chain-difference length bounds over the enumeration", max_dim,
-                  _lcd_holds, check_lcd)]
+                  "lcd", check_lcd)]
     powers = {k: GroupType(0, ((SimpleType("SU", 2), k),)) for k in range(1, 6)}
     eq_bad = [k for k, g in powers.items()
               if length(g) != 2 * chain_difference(g).exact_value + 2]
     out.append(_verdict("equality l = 2 cd + 2 at every power of SU(2)",
                         {"k": "1..5"}, "mismatches", eq_bad, None))
-    # the records of dim <= 40 with their ranges cut to 40, in the order of
-    # iter_semisimple(40): the parts of dimension <= 40 are closed under
-    # dropping a factor, so the preorder keeps their relative order
+    # the groups of dim <= 40 in the order of iter_groups(40): the parts of
+    # dimension <= 40 are closed under dropping a factor, so the preorder
+    # keeps their relative order
     bound = min(max_dim, 40)
-    small = (p._replace(zs=range(p.zs.start, bound - p.dim + 1))
-             for p in _parts(max_dim) if p.dim <= bound)
-    superadd_bad = [str(g) for _, groups in _by_part(small, _superadditive_holds)
-                    for g in groups
-                    if not _superadditive(g.counts, chain_difference(g).lower)]
+    superadd_bad = [
+        str(g) for _, p in _decided(max_dim)[1]["superadditive"]
+        for g in map(p.h.with_torus, range(p.zs.start, bound - p.dim + 1))
+        if not _superadditive(g.counts, chain_difference(g).lower)]
     out.append(_verdict("chain difference at least the sum over homogeneous blocks",
                         {}, "mismatches", superadd_bad))
     return out

@@ -183,7 +183,7 @@ def test_enumeration_sweeps_ask_the_oracle_only_to_fall_back(monkeypatch):
     # settles only the SU(2) x SU(3) x T^z the published cd list names
     fresh = Oracle()
     monkeypatch.setattr("liechain.oracle._default", fresh)
-    suites._parts.cache_clear()
+    suites._decided.cache_clear()
     run_suites(["general", "dimlen", "sqrt", "ld", "cd", "lcd"], 60)
     assert set(fresh.table) == {parse_group(spec) for spec in
                                 ("SU(2)", "SU(3)", "SU(2)^2", "SU(2) x SU(3)")}

@@ -36,6 +36,9 @@ from liechain.suites import (
     run_suites,
 )
 
+# the suites that sweep the enumeration of every group of bounded dimension
+ENUMERATION_SUITES = ("general", "dimlen", "sqrt", "ld", "cd", "lcd")
+
 
 def test_all_documented_suites_present():
     assert set(SUITES) == {
@@ -167,7 +170,7 @@ def _json(checks):
 
 @pytest.mark.parametrize("max_dim", [12, 30])
 def test_per_part_sweep_matches_group_by_group_loops(max_dim):
-    got = {name: SUITES[name](max_dim) for name in ("general", "dimlen", "sqrt", "ld", "cd", "lcd")}
+    got = {name: SUITES[name](max_dim) for name in ENUMERATION_SUITES}
     want = {
         "general": [_reference_general(max_dim)],
         "dimlen": [_reference_sweep("dimension deficit bounds over the enumeration",
@@ -205,7 +208,46 @@ def test_passing_sweep_builds_no_check(monkeypatch):
     assert calls == []
 
 
-def test_failing_representative_falls_back_to_every_torus_rank(monkeypatch):
+@pytest.fixture
+def fresh_pass():
+    # the pass caches its decisions per bound: a test that patches a verdict
+    # decides afresh, and leaves no decision of the patched verdict behind
+    suites._decided.cache_clear()
+    yield
+    suites._decided.cache_clear()
+
+
+def test_enumeration_suites_share_one_walk(monkeypatch, fresh_pass):
+    # the six sweeps at one bound read one pass over the part records; it
+    # keeps only the parts a verdict leaves undecided, each with the count of
+    # groups before it: SU(2) x SU(3), which the published cd list names
+    walks = []
+    parts = suites._parts
+    monkeypatch.setattr(suites, "_parts", lambda max_dim: walks.append(max_dim) or parts(max_dim))
+    run_suites(ENUMERATION_SUITES, 60)
+    assert walks == [60]
+    su2_su3 = GroupType(0, ((SimpleType("SU", 2), 1), (SimpleType("SU", 3), 1)))
+    for max_dim, scanned, before in ((60, 17472, 10104), (100, 414262, 270503)):
+        got, undecided = suites._decided(max_dim)
+        kept = {name: [(n, p.h, p.zs) for n, p in left]
+                for name, left in undecided.items() if left}
+        assert got == scanned
+        assert kept == {"cd": [(before, su2_su3, range(max_dim - 10))]}, max_dim
+    assert walks == [60, 100]
+
+
+@pytest.mark.parametrize("max_dim", [0, -1])
+@pytest.mark.parametrize("name", ENUMERATION_SUITES)
+def test_enumeration_suites_refuse_a_bound_below_one(name, max_dim):
+    with pytest.raises(ValueError, match=f"max_dim must be at least 1, got {max_dim}"):
+        run_suites([name], max_dim)
+
+
+def test_fixed_range_suites_ignore_a_bound_below_one():
+    assert all(check.passed for _, check in run_suites(["smalll", "liedep"], 0))
+
+
+def test_failing_representative_falls_back_to_every_torus_rank(monkeypatch, fresh_pass):
     su3 = ((SimpleType("SU", 3), 1),)
     decided, rendered = [], []
     verdicts = suites.dimlen_verdicts
@@ -276,7 +318,7 @@ def test_part_verdicts_agree_with_the_per_group_checks(holds, reference):
 def test_part_records_are_the_closed_forms(max_dim):
     # each record, folded from its parent's, is what the closed forms give
     # for its part on its own; a mixed depth ends at the merging chain
-    parts = suites._parts(max_dim)
+    parts = list(suites._parts(max_dim))
     assert [(p.h, p.zs) for p in parts] == list(iter_semisimple(max_dim))
     for p in parts:
         h = p.h
@@ -374,6 +416,7 @@ def test_passing_radical_sweeps_decide_in_integers(monkeypatch):
     monkeypatch.setattr(QuadExpr, "sign", lambda x: signs.append(x) or sign(x))
     for suite, threshold in ((suites.suite_sqrt, formulas._sqrt_threshold),
                              (suites.suite_lcd, formulas._quad_cd_limit)):
+        suites._decided.cache_clear()  # the pass keeps decisions, not thresholds
         threshold.cache_clear()
         signs.clear()
         assert all(c.passed for c in suite(60))
