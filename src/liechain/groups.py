@@ -442,18 +442,18 @@ def iter_semisimple(max_dim: int) -> Iterator[tuple[GroupType, range]]:
     Deterministic order: factor multisets in canonical order.
     """
     simples = list(iter_simple_types(max_dim=max_dim))
-
-    def extend(counts: tuple[tuple[SimpleType, int], ...], budget: int, start: int):
-        yield counts, budget
-        for i in range(start, len(simples)):
+    # a preorder walk on an explicit stack: each part (its pairs, the dim
+    # left, the first factor index it may add) pushes its children last first
+    stack: list[tuple[tuple[tuple[SimpleType, int], ...], int, int]] = [((), max_dim, 0)]
+    while stack:
+        counts, budget, start = stack.pop()
+        yield _canonical(0, counts), range(0 if counts else 1, budget + 1)
+        for i in range(len(simples) - 1, start - 1, -1):
             s = simples[i]
             if s.dim <= budget:
                 same = counts and i == start  # one more copy of the last factor
                 more = counts[:-1] + ((s, counts[-1][1] + 1),) if same else counts + ((s, 1),)
-                yield from extend(more, budget - s.dim, i)
-
-    for counts, budget in extend((), max_dim, 0):
-        yield _canonical(0, counts), range(0 if counts else 1, budget + 1)
+                stack.append((more, budget - s.dim, i))
 
 
 def iter_groups(max_dim: int) -> Iterator[GroupType]:

@@ -6,22 +6,23 @@ per-family scans) and returns a list of Check records.  ``cross_validate``
 compares the closed forms with the brute force group by group.
 
 The sweeps over the enumeration read one pass per bound (``_decided``, two
-bounds kept), which walks one record per semisimple part H (``Part``,
-folded by ``_parts``) and keeps only the count of groups and, per sweep,
-the parts it could not decide.  The record carries the closed-form depth of
-H, exact for tori and S^k; for a mixed product, the interval from the
+bounds kept), which walks one record per semisimple part H (folded by
+``_fold``) and keeps only the count of groups and, per sweep, the parts it
+could not decide (as ``Part``s).  The record carries the closed-form depth
+of H, exact for tori and S^k; for a mixed product, the interval from the
 closed-form lower end up to ``formulas.merging_depth(H)``, the length of an
 explicit chain.  Building it asks no oracle, and no closed form is
 evaluated on H itself: each closed form is a sum over the factors, so the
 record of H = H_0 x S is that of H_0, its parent in the enumeration's
-preorder, plus the terms of S.  The pass decides each part in integers,
-with the verdict functions the ``formulas.check_*`` checks take ``passed``
-from (``sqrt`` and ``lcd`` compare with cached exact integer thresholds),
-at the representatives H (z = 0) and H x T (z = 1), or at T for the tori;
-when they all pass, every torus rank of the range passes, and no Check is
-built.  Otherwise the sweep sends every H x T^z of the range through the
-per-group check in order, so failures are rendered and listed exactly as a
-group-by-group sweep lists them.
+preorder, plus the terms of S.  The pass decides each part once, in
+integers: it calls each verdict function the ``formulas.check_*`` checks
+take ``passed`` from once, at the first torus rank (H, or T for the tori),
+and ``sqrt_verdicts`` at H x T too (``sqrt`` and ``lcd`` compare with
+cached exact integer thresholds); ``general``, ``ld``, ``cd`` and
+superadditivity it decides in line.  When all pass, every torus rank of
+the range passes, and nothing is built.  Otherwise the sweep sends every
+H x T^z of the range through the per-group check in order, so failures
+are rendered and listed exactly as a group-by-group sweep lists them.
 
 Of the sweeps over the enumeration, only that fall-back asks the oracle:
 ``formulas.depth(refine=True)`` decides for the per-group checks
@@ -33,6 +34,17 @@ per-group checks: the brute-force depth lies in the part's interval, so an
 interval that decides ``ld`` or ``cd`` decides it as the refined depth
 does, and ``check_lcd`` lowers its cd by the same merging chain, so its
 verdicts, monotone in the lower end of cd, pass wherever the part's do.
+
+Why a pass at z = 0 is a pass at z = 1, for every verdict but ``sqrt``.
+``general``, ``ld``, ``cd`` and superadditivity read no z: the rank bounds
+and the predicates read the factors, and cd(H x T^z) = cd(H) (below).
+``dimlen_verdicts`` and ``lcd_verdicts`` read z only to find a lone pair
+S^k, at z = 0: their other items compare D - L with D, l = dim with being
+a torus, and L and D with cd(H), none of which z moves.  So their tuple at
+z = 1 is the first items of their tuple at z = 0, which adds the simple
+and homogeneous items, and a pass at z = 0 passes z = 1.  ``sqrt``'s item
+at z = 1 compares L + 1 with the threshold at D + 1, which no item at
+z = 0 does, so the pass asks ``sqrt_verdicts`` at z = 1 too.
 
 Why a pass at z = 1 is a pass at every z >= 1.  Let G = H x T^z.  Then
 l(G) = L + z, dim G = D + z, rank G = rank H + z and G' = H.  The
@@ -130,9 +142,10 @@ class Part(NamedTuple):
     factors: int           # n, the simple factors of H counted with multiplicity
 
 
-def _parts(max_dim: int) -> Iterator[Part]:
-    """The records of ``iter_semisimple(max_dim)``, yielded in its order and
-    kept by no one, folded along its preorder.
+def _fold(max_dim: int) -> Iterator[tuple]:
+    """The record of each part of ``iter_semisimple(max_dim)``, in its order,
+    as the plain row (h, zs, dim, l, lower, upper, rank, n), with
+    [lower, upper] the depth of H; folded along the preorder.
 
     The parent of a part H = H_0 x S, S its last factor, is H_0, with one
     copy of S fewer; in preorder it is the last part seen with one factor
@@ -153,13 +166,10 @@ def _parts(max_dim: int) -> Iterator[Part]:
     takes the interval [sum(k + 1), n + |U|]."""
     parts = iter_semisimple(max_dim)
     h, zs = next(parts)  # the trivial part, the root of the preorder
-    yield Part(h, zs, 0, 0, BoundsOrExact.exact(0), 0, 0)
+    yield h, zs, 0, 0, 0, 0, 0, 0
     # rows[n]: (dim, l, rank, lower end of depth, U) of the last part with n factors
     rows = [(0, 0, 0, 0, frozenset())]
     per_type: dict[SimpleType, tuple] = {}
-    # equal depths share one object, so a record builds none of its own: 51
-    # distinct ones serve the 1,530 records at dim 60, 206 the 526,630 at 150
-    depths: dict[tuple[int, int], BoundsOrExact] = {}
     for h, zs in parts:
         counts = h.counts
         s, k = counts[-1]
@@ -180,38 +190,22 @@ def _parts(max_dim: int) -> Iterator[Part]:
             lower += 1
         rows.append((dim, l, rank, lower, union))
         upper = n + len(union)
-        key = (upper if len(counts) == 1 else lower, upper)
-        d = depths.get(key)
-        if d is None:
-            d = depths[key] = BoundsOrExact(*key)
-        yield Part(h, zs, dim, l, d, rank, n)
+        yield h, zs, dim, l, upper if len(counts) == 1 else lower, upper, rank, n
 
 
-# -- per-part verdicts, one per sweep: whether H x T^z passes --------------------
+def _part(h, zs, dim, l, lower, upper, rank, n) -> Part:
+    return Part(h, zs, dim, l, BoundsOrExact(lower, upper), rank, n)
+
+
+def _parts(max_dim: int) -> Iterator[Part]:
+    """The records of ``_fold(max_dim)`` as ``Part``s, kept by no one."""
+    return itertools.starmap(_part, _fold(max_dim))
+
 
 def _rank_bounds_hold(p: Part, z: int) -> bool:
+    """Whether H x T^z is within the rank bounds of ``suite_general``."""
     t, r = p.factors, p.rank
     return 2 * r <= p.length <= 3 * r - t if t else p.length == 0
-
-
-def _dimlen_holds(p: Part, z: int) -> bool:
-    return all(dimlen_verdicts(z, p.h.counts, p.length, p.dim))
-
-
-def _sqrt_holds(p: Part, z: int) -> bool:
-    return all(sqrt_verdicts(z, p.h.counts, p.length, p.dim))
-
-
-def _lcd_holds(p: Part, z: int) -> bool:
-    return all(lcd_verdicts(z, p.h.counts, p.length, p.dim, p.length - p.depth.upper))
-
-
-def _ld_holds(p: Part, z: int) -> bool:
-    return _depth_is(p.depth, p.length) == is_length_eq_depth(p.h)
-
-
-def _cd_holds(p: Part, z: int) -> bool:
-    return _depth_is(p.depth, p.length - 1) == is_published_cd_one(p.h)
 
 
 def _block_cd(s: SimpleType, k: int) -> int:
@@ -227,37 +221,43 @@ def _superadditive(counts: tuple, cd_lower: int) -> bool:
     return cd_lower >= sum(_block_cd(s, k) for s, k in counts)
 
 
-def _superadditive_holds(p: Part, z: int) -> bool:
-    return _superadditive(p.h.counts, chain_difference(p.h).lower)
-
-
-# the verdict of each enumeration sweep, by the name the pass files it under;
-# superadditivity is checked up to dim 40 only
-_VERDICTS = (("general", _rank_bounds_hold), ("dimlen", _dimlen_holds),
-             ("sqrt", _sqrt_holds), ("ld", _ld_holds), ("cd", _cd_holds),
-             ("lcd", _lcd_holds))
-_SMALL_VERDICTS = _VERDICTS + (("superadditive", _superadditive_holds),)
+# the verdicts of the pass, one per enumeration sweep and superadditivity
+_PASS_VERDICTS = ("general", "dimlen", "sqrt", "ld", "cd", "lcd", "superadditive")
 
 
 @lru_cache(maxsize=2)
 def _decided(max_dim: int) -> tuple[int, dict[str, list[tuple[int, Part]]]]:
-    """One walk of ``_parts(max_dim)`` that decides each verdict of each part
-    at its representatives, the first torus rank and 1 when the ranks start
-    at 0: the count of groups in range and, per verdict, the parts it left
-    undecided, each with the count of groups before it."""
+    """One walk of ``_fold(max_dim)`` that decides each verdict of each part
+    once, at its first torus rank, and ``sqrt`` at 1 too when the ranks
+    start at 0 (superadditivity only up to dim 40): the count of groups in
+    range and, per verdict, the parts it left undecided, each with the count
+    of groups before it."""
     if max_dim < 1:
         raise ValueError(f"max_dim must be at least 1, got {max_dim}")
     small = min(max_dim, 40)
-    undecided: dict[str, list[tuple[int, Part]]] = {name: [] for name, _ in _SMALL_VERDICTS}
+    undecided: dict[str, list[tuple[int, Part]]] = {name: [] for name in _PASS_VERDICTS}
     scanned = 0
-    for p in _parts(max_dim):
-        zs = p.zs
-        representatives = zs[:2] if zs[0] == 0 else zs[:1]
-        for name, holds in _VERDICTS if p.dim > small else _SMALL_VERDICTS:
-            for z in representatives:
-                if not holds(p, z):
+    for row in _fold(max_dim):
+        h, zs, dim, l, lower, upper, rank, n = row
+        counts = h.counts
+        z = zs[0]
+        cd_low, cd_high = l - upper, l - lower
+        general = 2 * rank <= l <= 3 * rank - n if n else l == 0
+        dimlen = all(dimlen_verdicts(z, counts, l, dim))
+        sqrt = all(sqrt_verdicts(z, counts, l, dim)) and (
+            z or len(zs) == 1 or all(sqrt_verdicts(1, counts, l, dim)))
+        # _depth_is(depth, l - c) == predicate, for cd = c: an exact cd equal
+        # to c when the predicate holds, else a cd interval without c
+        ld = cd_low == cd_high == 0 if is_length_eq_depth(h) else not cd_low <= 0 <= cd_high
+        cd = cd_low == cd_high == 1 if is_published_cd_one(h) else not cd_low <= 1 <= cd_high
+        lcd = all(lcd_verdicts(z, counts, l, dim, cd_low))
+        superadditive = dim > small or _superadditive(counts, chain_difference(h).lower)
+        if not (general and dimlen and sqrt and ld and cd and lcd and superadditive):
+            p = _part(*row)
+            for name, holds in zip(_PASS_VERDICTS,
+                                   (general, dimlen, sqrt, ld, cd, lcd, superadditive)):
+                if not holds:
                     undecided[name].append((scanned, p))
-                    break
         scanned += len(zs)
     return scanned, undecided
 

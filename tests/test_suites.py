@@ -218,12 +218,13 @@ def fresh_pass():
 
 
 def test_enumeration_suites_share_one_walk(monkeypatch, fresh_pass):
-    # the six sweeps at one bound read one pass over the part records; it
-    # keeps only the parts a verdict leaves undecided, each with the count of
-    # groups before it: SU(2) x SU(3), which the published cd list names
+    # the six sweeps at one bound read one pass over the fold of the part
+    # records; it keeps only the parts a verdict leaves undecided, each with
+    # the count of groups before it: SU(2) x SU(3), which the published cd
+    # list names
     walks = []
-    parts = suites._parts
-    monkeypatch.setattr(suites, "_parts", lambda max_dim: walks.append(max_dim) or parts(max_dim))
+    fold = suites._fold
+    monkeypatch.setattr(suites, "_fold", lambda max_dim: walks.append(max_dim) or fold(max_dim))
     run_suites(ENUMERATION_SUITES, 60)
     assert walks == [60]
     su2_su3 = GroupType(0, ((SimpleType("SU", 2), 1), (SimpleType("SU", 3), 1)))
@@ -250,7 +251,7 @@ def test_fixed_range_suites_ignore_a_bound_below_one():
 def test_failing_representative_falls_back_to_every_torus_rank(monkeypatch, fresh_pass):
     su3 = ((SimpleType("SU", 3), 1),)
     decided, rendered = [], []
-    verdicts = suites.dimlen_verdicts
+    verdicts = suites.sqrt_verdicts
 
     def fails_off_the_semisimple_part(z, counts, l_ss, dim_ss):
         if counts == su3:
@@ -263,14 +264,131 @@ def test_failing_representative_falls_back_to_every_torus_rank(monkeypatch, fres
         rendered.append(g)
         return [Check("fake", {}, "", "", not (g.counts == su3 and g.torus_rank))]
 
-    monkeypatch.setattr(suites, "dimlen_verdicts", fails_off_the_semisimple_part)
-    monkeypatch.setattr(suites, "check_dimlen", fake)
-    (check,) = suites.suite_dimlen(12)
+    # sqrt is the one verdict the pass decides at z = 1 as well as at z = 0
+    monkeypatch.setattr(suites, "sqrt_verdicts", fails_off_the_semisimple_part)
+    monkeypatch.setattr(suites, "check_sqrt_lower_bound", fake)
+    check = suites.suite_sqrt(12)[0]
     # SU(3) has dim 8: decided at the representatives z = 0, 1, then
     # rendered at every z in 0..4, and no other part is rendered
     assert check.inputs["failures"] == [f"{GroupType(z, su3)}: fake" for z in range(1, 5)]
     assert decided == [0, 1]
     assert [(g.counts, g.torus_rank) for g in rendered] == [(su3, z) for z in range(5)]
+
+
+# -- the pass against one verdict per (part, torus rank) --------------------------
+# the verdicts read the helpers and predicates through ``suites``, as the pass
+# does, so a patch reaches both
+
+def _dimlen_holds(p, z):
+    return all(suites.dimlen_verdicts(z, p.h.counts, p.length, p.dim))
+
+
+def _sqrt_holds(p, z):
+    return all(suites.sqrt_verdicts(z, p.h.counts, p.length, p.dim))
+
+
+def _lcd_holds(p, z):
+    return all(suites.lcd_verdicts(z, p.h.counts, p.length, p.dim, p.length - p.depth.upper))
+
+
+def _ld_holds(p, z):
+    return suites._depth_is(p.depth, p.length) == suites.is_length_eq_depth(p.h)
+
+
+def _cd_holds(p, z):
+    return suites._depth_is(p.depth, p.length - 1) == suites.is_published_cd_one(p.h)
+
+
+def _superadditive_holds(p, z):
+    return suites._superadditive(p.h.counts, chain_difference(p.h).lower)
+
+
+# the verdict of each enumeration sweep, by the name the pass files it under;
+# superadditivity is checked up to dim 40 only
+_VERDICTS = (("general", suites._rank_bounds_hold), ("dimlen", _dimlen_holds),
+             ("sqrt", _sqrt_holds), ("ld", _ld_holds), ("cd", _cd_holds),
+             ("lcd", _lcd_holds))
+_SMALL_VERDICTS = _VERDICTS + (("superadditive", _superadditive_holds),)
+
+
+def _reference_decided(max_dim):
+    # each verdict decided on its own at each representative of each part:
+    # z = 0 and 1, or the first torus rank
+    small = min(max_dim, 40)
+    undecided = {name: [] for name, _ in _SMALL_VERDICTS}
+    scanned = 0
+    for p in suites._parts(max_dim):
+        zs = p.zs
+        representatives = zs[:2] if zs[0] == 0 else zs[:1]
+        for name, holds in _VERDICTS if p.dim > small else _SMALL_VERDICTS:
+            for z in representatives:
+                if not holds(p, z):
+                    undecided[name].append((scanned, p))
+                    break
+        scanned += len(zs)
+    return scanned, undecided
+
+
+@pytest.mark.parametrize("max_dim", [12, 40, 60, 100])
+def test_pass_decides_as_one_verdict_per_representative(max_dim):
+    # the count of groups, and per verdict the parts left undecided, with
+    # the count of groups before each, its torus ranks and its record
+    assert suites._decided(max_dim) == _reference_decided(max_dim)
+
+
+def test_pass_files_failing_verdicts_as_the_reference_does(monkeypatch, fresh_pass):
+    # records, helpers and predicates bent so that every verdict fails on
+    # some parts, and the pass still files them as the reference does.  The
+    # records (read by both through ``_fold``) push l past the rank bounds
+    # and depths up to l - 1 or l, so cd intervals hold 0 or 1; the patches
+    # of dimlen and lcd read no z, as their verdicts at z = 1 read none that
+    # z = 0 does not, and sqrt's reads z
+    fold = suites._fold
+
+    def bent(max_dim):
+        for h, zs, dim, l, lower, upper, rank, n in fold(max_dim):
+            if dim % 3 == 1:
+                l += n
+            if lower < l and dim % 4 in (0, 2):
+                upper = max(upper, l - 1 + dim % 4 // 2)
+            yield h, zs, dim, l, lower, upper, rank, n
+
+    def failing(helper, bad):
+        return lambda z, counts, l_ss, dim_ss, *rest: (
+            (False,) if bad(z, l_ss, dim_ss, *rest) else helper(z, counts, l_ss, dim_ss, *rest))
+
+    monkeypatch.setattr(suites, "_fold", bent)
+    for name, bad in (("dimlen_verdicts", lambda z, l, dim: l % 3 == 0),
+                      ("sqrt_verdicts", lambda z, l, dim: (dim + z) % 4 == 1),
+                      ("lcd_verdicts", lambda z, l, dim, cd_low: cd_low % 5 == 0)):
+        monkeypatch.setattr(suites, name, failing(getattr(suites, name), bad))
+    for name in ("is_length_eq_depth", "is_published_cd_one"):
+        predicate = getattr(suites, name)
+        monkeypatch.setattr(suites, name, lambda g, predicate=predicate:
+                            predicate(g) != (g.dim % 2 == 0))
+    superadditive = suites._superadditive
+    monkeypatch.setattr(suites, "_superadditive", lambda counts, cd_lower:
+                        superadditive(counts, cd_lower) and cd_lower % 2 == 0)
+    got = suites._decided(40)
+    assert got == _reference_decided(40)
+    assert all(got[1].values())
+
+
+def test_pass_calls_each_verdict_helper_once_per_part(monkeypatch, fresh_pass):
+    # dimlen and lcd at the first torus rank only; sqrt there and, when the
+    # ranks start at 0 and go on, at 1: the tori are asked at z = 1 only
+    calls = {"dimlen_verdicts": [], "sqrt_verdicts": [], "lcd_verdicts": []}
+    for name, seen in calls.items():
+        helper = getattr(suites, name)
+        monkeypatch.setattr(suites, name, lambda z, counts, *rest, helper=helper, seen=seen:
+                            seen.append((counts, z)) or helper(z, counts, *rest))
+    suites._decided(60)
+    parts = list(iter_semisimple(60))
+    first = [(h.counts, zs[0]) for h, zs in parts]
+    assert calls["dimlen_verdicts"] == calls["lcd_verdicts"] == first
+    assert calls["sqrt_verdicts"] == [(h.counts, z) for h, zs in parts
+                                      for z in (zs[:2] if zs[0] == 0 else zs[:1])]
+    assert calls["sqrt_verdicts"][0] == ((), 1) and len(parts) == 1530
 
 
 def _within_rank_bounds(g):
@@ -295,12 +413,12 @@ def _passes(checker):
 
 @pytest.mark.parametrize("holds,reference", [
     (suites._rank_bounds_hold, _within_rank_bounds),
-    (suites._dimlen_holds, _passes(check_dimlen)),
-    (suites._sqrt_holds, _passes(check_sqrt_lower_bound)),
-    (suites._ld_holds, lambda g: computed_length_eq_depth(g) == is_length_eq_depth(g)),
-    (suites._cd_holds, lambda g: computed_cd_is_one(g) == is_published_cd_one(g)),
-    (suites._lcd_holds, _passes(check_lcd)),
-    (suites._superadditive_holds, _superadditive),
+    (_dimlen_holds, _passes(check_dimlen)),
+    (_sqrt_holds, _passes(check_sqrt_lower_bound)),
+    (_ld_holds, lambda g: computed_length_eq_depth(g) == is_length_eq_depth(g)),
+    (_cd_holds, lambda g: computed_cd_is_one(g) == is_published_cd_one(g)),
+    (_lcd_holds, _passes(check_lcd)),
+    (_superadditive_holds, _superadditive),
 ], ids=["general", "dimlen", "sqrt", "ld", "cd", "lcd", "superadditive"])
 def test_part_verdicts_agree_with_the_per_group_checks(holds, reference):
     # the integer decision at every torus rank of every part, not only at
@@ -339,7 +457,7 @@ def test_lcd_passes_at_dim_100():
     for p in loose:
         for z in p.zs[:2]:
             g = p.h.with_torus(z)
-            assert suites._lcd_holds(p, z) and all(c.passed for c in check_lcd(g)), g
+            assert _lcd_holds(p, z) and all(c.passed for c in check_lcd(g)), g
     checks = suites.suite_lcd(100)
     assert checks[0].inputs["groups_scanned"] == 414262
     assert all(c.passed for c in checks), [c.inputs for c in checks if not c.passed]
