@@ -55,10 +55,6 @@ class Chain(Frozen):
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def top(self) -> GroupType:
-        return self.nodes[0]
-
     def to_json(self) -> dict:
         return {
             "nodes": [str(g) for g in self.nodes],

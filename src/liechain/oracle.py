@@ -135,10 +135,9 @@ class Oracle:
     table: dict[GroupType, tuple[int, int]]
     _vectors: Optional[_Vectors]
 
-    def __init__(self, cached: bool = True,
-                 table: Optional[dict[GroupType, tuple[int, int]]] = None):
+    def __init__(self, cached: bool = True):
         self.cached = cached
-        self.table = {} if table is None else table
+        self.table = {}
         self._vectors = None
 
     def __eq__(self, other):

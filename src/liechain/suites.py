@@ -8,21 +8,23 @@ compares the closed forms with the brute force group by group.
 The sweeps over the enumeration read one pass per bound (``_decided``, two
 bounds kept), which walks one record per semisimple part H (folded by
 ``_fold``) and keeps only the count of groups and, per sweep, the parts it
-could not decide (as ``Part``s).  The record carries the closed-form depth
-of H, exact for tori and S^k; for a mixed product, the interval from the
-closed-form lower end up to ``formulas.merging_depth(H)``, the length of an
-explicit chain.  Building it asks no oracle, and no closed form is
-evaluated on H itself: each closed form is a sum over the factors, so the
-record of H = H_0 x S is that of H_0, its parent in the enumeration's
-preorder, plus the terms of S.  The pass decides each part once, in
-integers: it calls each verdict function the ``formulas.check_*`` checks
-take ``passed`` from once, at the first torus rank (H, or T for the tori),
-and ``sqrt_verdicts`` at H x T too (``sqrt`` and ``lcd`` compare with
-cached exact integer thresholds); ``general``, ``ld``, ``cd`` and
-superadditivity it decides in line.  When all pass, every torus rank of
-the range passes, and nothing is built.  Otherwise the sweep sends every
-H x T^z of the range through the per-group check in order, so failures
-are rendered and listed exactly as a group-by-group sweep lists them.
+could not decide, each as (groups before it, H, torus ranks).  The record
+carries the closed-form depth of H, exact for tori and S^k; for a mixed
+product, the interval from the closed-form lower end up to
+``formulas.merging_depth(H)``, the length of an explicit chain.  Building
+it asks no oracle, and no closed form is evaluated on H itself: each closed
+form is a sum over the factors, so the record of H = H_0 x S is that of
+H_0, its parent in the enumeration's preorder, plus the terms of S.  The
+pass decides each part once, in integers: it calls each verdict function
+the ``formulas.check_*`` checks take ``passed`` from once, at the first
+torus rank (H, or T for the tori), and ``sqrt_verdicts`` at H x T too
+(``sqrt`` and ``lcd`` compare with cached exact integer thresholds);
+``general``, ``ld`` and ``cd`` it decides in line.  When all pass, every
+torus rank of the range passes, and nothing is built.  Otherwise
+``_undecided`` yields every H x T^z of the range in order, and the sweep
+sends each through the per-group check, so failures are rendered and
+listed exactly as a group-by-group sweep lists them; ``general`` fails on
+the first, as its verdict reads no torus rank.
 
 Of the sweeps over the enumeration, only that fall-back asks the oracle:
 ``formulas.depth(refine=True)`` decides for the per-group checks
@@ -36,7 +38,7 @@ does, and ``check_lcd`` lowers its cd by the same merging chain, so its
 verdicts, monotone in the lower end of cd, pass wherever the part's do.
 
 Why a pass at z = 0 is a pass at z = 1, for every verdict but ``sqrt``.
-``general``, ``ld``, ``cd`` and superadditivity read no z: the rank bounds
+``general``, ``ld`` and ``cd`` read no z: the rank bounds
 and the predicates read the factors, and cd(H x T^z) = cd(H) (below).
 ``dimlen_verdicts`` and ``lcd_verdicts`` read z only to find a lone pair
 S^k, at z = 0: their other items compare D - L with D, l = dim with being
@@ -64,9 +66,12 @@ the factors.  So cd(G x T) = cd(G), refined or not.  Per suite:
 - ld, cd: the predicates read only the factors, and the computed sides
   compare l(G) with depth(G), or read cd(G); both shift by z on both ends.
 - lcd: cd(G) is fixed, refined included, and so are l(G') and dim G'; the
-  simple and homogeneous checks apply only at z = 0.  Superadditivity
-  compares the unrefined cd(G), also fixed, with a sum over the factors
-  of H.
+  simple and homogeneous checks apply only at z = 0.
+
+``suite_lcd`` decides superadditivity, the refined cd(G) against a sum over
+the factors of H, outside the pass: once per part of dim <= 40, as cd(G)
+is fixed along the torus ranks.  It asks the oracle about the 214 curated
+mixed parts there.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .formulas import (
     _min_path,
@@ -130,18 +135,6 @@ def computed_cd_is_one(g: GroupType) -> Optional[bool]:
     return _depth_is(depth(g, refine=True), length(g) - 1)
 
 
-class Part(NamedTuple):
-    """One semisimple part H of the enumeration, in integers."""
-
-    h: GroupType
-    zs: range              # the torus ranks z with H x T^z in range
-    dim: int               # D = dim H
-    length: int            # L = l(H)
-    depth: BoundsOrExact   # depth(H), up to merging_depth(H) when mixed
-    rank: int              # rank H
-    factors: int           # n, the simple factors of H counted with multiplicity
-
-
 def _fold(max_dim: int) -> Iterator[tuple]:
     """The record of each part of ``iter_semisimple(max_dim)``, in its order,
     as the plain row (h, zs, dim, l, lower, upper, rank, n), with
@@ -193,52 +186,36 @@ def _fold(max_dim: int) -> Iterator[tuple]:
         yield h, zs, dim, l, upper if len(counts) == 1 else lower, upper, rank, n
 
 
-def _part(h, zs, dim, l, lower, upper, rank, n) -> Part:
-    return Part(h, zs, dim, l, BoundsOrExact(lower, upper), rank, n)
-
-
-def _parts(max_dim: int) -> Iterator[Part]:
-    """The records of ``_fold(max_dim)`` as ``Part``s, kept by no one."""
-    return itertools.starmap(_part, _fold(max_dim))
-
-
-def _rank_bounds_hold(p: Part, z: int) -> bool:
-    """Whether H x T^z is within the rank bounds of ``suite_general``."""
-    t, r = p.factors, p.rank
-    return 2 * r <= p.length <= 3 * r - t if t else p.length == 0
-
-
 def _block_cd(s: SimpleType, k: int) -> int:
     """cd(S^k) = k l(S) - depth(S^k), with depth(S^k) = depth(S) + k - 1."""
     return k * length_simple(s) - depth_simple(s) - k + 1
 
 
-def _superadditive(counts: tuple, cd_lower: int) -> bool:
-    """cd(G) >= the sum of cd(S^k) over the homogeneous blocks S^k of G,
-    from the lower end of the unrefined cd(G); vacuous for one block."""
+def _superadditive(h: GroupType) -> bool:
+    """cd(H) >= the sum of cd(S^k) over the homogeneous blocks S^k of H,
+    from the lower end of the refined cd(H); vacuous for one block."""
+    counts = h.counts
     if len(counts) < 2:
         return True
-    return cd_lower >= sum(_block_cd(s, k) for s, k in counts)
+    return chain_difference(h, refine=True).lower >= sum(_block_cd(s, k) for s, k in counts)
 
 
-# the verdicts of the pass, one per enumeration sweep and superadditivity
-_PASS_VERDICTS = ("general", "dimlen", "sqrt", "ld", "cd", "lcd", "superadditive")
+# the verdicts of the pass, one per enumeration sweep
+_PASS_VERDICTS = ("general", "dimlen", "sqrt", "ld", "cd", "lcd")
 
 
 @lru_cache(maxsize=2)
-def _decided(max_dim: int) -> tuple[int, dict[str, list[tuple[int, Part]]]]:
+def _decided(max_dim: int) -> tuple[int, dict[str, list[tuple[int, GroupType, range]]]]:
     """One walk of ``_fold(max_dim)`` that decides each verdict of each part
     once, at its first torus rank, and ``sqrt`` at 1 too when the ranks
-    start at 0 (superadditivity only up to dim 40): the count of groups in
-    range and, per verdict, the parts it left undecided, each with the count
-    of groups before it."""
+    start at 0: the count of groups in range and, per verdict, the parts it
+    left undecided, each as (count of groups before it, H, torus ranks)."""
     if max_dim < 1:
         raise ValueError(f"max_dim must be at least 1, got {max_dim}")
-    small = min(max_dim, 40)
-    undecided: dict[str, list[tuple[int, Part]]] = {name: [] for name in _PASS_VERDICTS}
+    undecided: dict[str, list[tuple[int, GroupType, range]]] = {
+        name: [] for name in _PASS_VERDICTS}
     scanned = 0
-    for row in _fold(max_dim):
-        h, zs, dim, l, lower, upper, rank, n = row
+    for h, zs, dim, l, lower, upper, rank, n in _fold(max_dim):
         counts = h.counts
         z = zs[0]
         cd_low, cd_high = l - upper, l - lower
@@ -251,31 +228,36 @@ def _decided(max_dim: int) -> tuple[int, dict[str, list[tuple[int, Part]]]]:
         ld = cd_low == cd_high == 0 if is_length_eq_depth(h) else not cd_low <= 0 <= cd_high
         cd = cd_low == cd_high == 1 if is_published_cd_one(h) else not cd_low <= 1 <= cd_high
         lcd = all(lcd_verdicts(z, counts, l, dim, cd_low))
-        superadditive = dim > small or _superadditive(counts, chain_difference(h).lower)
-        if not (general and dimlen and sqrt and ld and cd and lcd and superadditive):
-            p = _part(*row)
-            for name, holds in zip(_PASS_VERDICTS,
-                                   (general, dimlen, sqrt, ld, cd, lcd, superadditive)):
+        if not (general and dimlen and sqrt and ld and cd and lcd):
+            for name, holds in zip(_PASS_VERDICTS, (general, dimlen, sqrt, ld, cd, lcd)):
                 if not holds:
-                    undecided[name].append((scanned, p))
+                    undecided[name].append((scanned, h, zs))
         scanned += len(zs)
     return scanned, undecided
+
+
+def _undecided(max_dim: int, verdict: str) -> tuple[int, Iterator[tuple[int, GroupType]]]:
+    """The count of groups in range, and every group H x T^z of the parts
+    the pass left ``verdict`` undecided on, in enumeration order, each with
+    the count of groups before it."""
+    scanned, undecided = _decided(max_dim)
+    return scanned, ((before + i, h.with_torus(z)) for before, h, zs in undecided[verdict]
+                     for i, z in enumerate(zs))
 
 
 def _classification(claim: str, max_dim: int, verdict: str,
                     predicate: Callable[[GroupType], bool],
                     computed: Callable[[GroupType], Optional[bool]]) -> list[Check]:
-    scanned, undecided = _decided(max_dim)
+    scanned, groups = _undecided(max_dim, verdict)
     mismatches: list[str] = []
     unresolved: list[str] = []
-    for _, p in undecided[verdict]:
-        for g in map(p.h.with_torus, p.zs):
-            want = predicate(g)
-            got = computed(g)
-            if got is None:
-                unresolved.append(str(g))
-            elif got != want:
-                mismatches.append(f"{g} (computed={got}, characterized={want})")
+    for _, g in groups:
+        want = predicate(g)
+        got = computed(g)
+        if got is None:
+            unresolved.append(str(g))
+        elif got != want:
+            mismatches.append(f"{g} (computed={got}, characterized={want})")
     return [Check(
         claim,
         {"max_dim": max_dim, "groups_scanned": scanned,
@@ -299,9 +281,9 @@ def _sweep(claim: str, max_dim: int, verdict: str,
     """Every per-group check of ``checker`` over the enumeration, as one
     verdict on the failed ones; the pass decides the parts ``verdict``
     holds on without it."""
-    scanned, undecided = _decided(max_dim)
-    failures = [f"{g}: {check.claim}" for _, p in undecided[verdict]
-                for g in map(p.h.with_torus, p.zs) for check in checker(g) if not check.passed]
+    scanned, groups = _undecided(max_dim, verdict)
+    failures = [f"{g}: {check.claim}" for _, g in groups
+                for check in checker(g) if not check.passed]
     return _verdict(claim, {"max_dim": max_dim, "groups_scanned": scanned},
                     "failures", failures)
 
@@ -309,15 +291,15 @@ def _sweep(claim: str, max_dim: int, verdict: str,
 # -- individual suites -----------------------------------------------------------
 
 def suite_general(max_dim: int) -> list[Check]:
-    """Rank bounds on the length of every enumerated group."""
+    """Rank bounds on the length of every enumerated group.  The pass's
+    verdict reads no torus rank, so the first group it leaves undecided is
+    the first failure, and ends the scan."""
     worst = None
-    scanned, undecided = _decided(max_dim)
-    for before, p in undecided["general"]:
-        bad = next((i for i, z in enumerate(p.zs) if not _rank_bounds_hold(p, z)), None)
-        if bad is not None:
-            scanned = before + bad + 1  # the first failure ends the scan
-            worst = str(p.h.with_torus(p.zs[bad]))
-            break
+    scanned, groups = _undecided(max_dim, "general")
+    first = next(groups, None)
+    if first is not None:
+        before, g = first
+        scanned, worst = before + 1, str(g)
     return [Check(
         "length within the rank bounds z+2r <= l <= z+3r-t",
         {"max_dim": max_dim, "groups_scanned": scanned, "first_failure": worst},
@@ -461,14 +443,10 @@ def suite_lcd(max_dim: int) -> list[Check]:
               if length(g) != 2 * chain_difference(g).exact_value + 2]
     out.append(_verdict("equality l = 2 cd + 2 at every power of SU(2)",
                         {"k": "1..5"}, "mismatches", eq_bad, None))
-    # the groups of dim <= 40 in the order of iter_groups(40): the parts of
-    # dimension <= 40 are closed under dropping a factor, so the preorder
-    # keeps their relative order
-    bound = min(max_dim, 40)
-    superadd_bad = [
-        str(g) for _, p in _decided(max_dim)[1]["superadditive"]
-        for g in map(p.h.with_torus, range(p.zs.start, bound - p.dim + 1))
-        if not _superadditive(g.counts, chain_difference(g).lower)]
+    # the groups of dim <= 40 in the order of iter_groups(40), decided once
+    # per part: the refined cd(H x T^z) is cd(H)
+    superadd_bad = [str(h.with_torus(z)) for h, zs in iter_semisimple(min(max_dim, 40))
+                    if not _superadditive(h) for z in zs]
     out.append(_verdict("chain difference at least the sum over homogeneous blocks",
                         {}, "mismatches", superadd_bad))
     return out

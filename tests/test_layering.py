@@ -59,3 +59,53 @@ def test_lower_layers_import_no_upper_layer():
     graph = _graph()
     for module in ("groups", "subgroups", "oracle"):
         assert not _below(graph, module) & {"formulas", "chains", "suites", "cli"}, module
+
+
+# definitions no module of the package reads, each read by a test that keeps
+# it as a reference: the qualified name and that test
+TEST_ONLY = {
+    "QuadExpr.ceil": "tests/test_formulas.py::"
+                     "test_integer_thresholds_match_the_exact_ceiling_and_floor",
+}
+
+
+def _defined(tree: ast.AST, prefix: str = "") -> list[str]:
+    """The qualified names of the functions, classes and methods defined in
+    ``tree``, nested ones included, dunders left out."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                out.append(name)
+            out.extend(_defined(node, name + "."))
+        else:
+            out.extend(_defined(node, prefix))
+    return out
+
+
+def _read(tree: ast.AST, module: str) -> set[str]:
+    """The names a module reads: as a name, an attribute or an import, and
+    in ``__init__`` as a string too (the names it re-exports lazily)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif module == "__init__" and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_definition_has_a_reader():
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    read = set().union(*(_read(tree, module) for module, tree in trees.items()))
+    unread = {f"{module}.{name}" for module, tree in trees.items() for name in _defined(tree)
+              if name.rsplit(".", 1)[-1] not in read and name not in TEST_ONLY}
+    assert not unread, sorted(unread)
+    # each test-only reference is still defined, and still unread in the package
+    defined = {name for tree in trees.values() for name in _defined(tree)}
+    assert all(name in defined and name.rsplit(".", 1)[-1] not in read for name in TEST_ONLY)

@@ -181,12 +181,27 @@ def test_vector_fill_matches_group_fill_node_for_node(monkeypatch):
 def test_enumeration_sweeps_ask_the_oracle_only_to_fall_back(monkeypatch):
     # the part records bound mixed depths by the merging chain; the oracle
     # settles only the SU(2) x SU(3) x T^z the published cd list names
+    fall_back = {parse_group(spec) for spec in ("SU(2)", "SU(3)", "SU(2)^2", "SU(2) x SU(3)")}
+    sweeps = ["general", "dimlen", "sqrt", "ld", "cd", "lcd"]
     fresh = Oracle()
     monkeypatch.setattr("liechain.oracle._default", fresh)
     suites._decided.cache_clear()
-    run_suites(["general", "dimlen", "sqrt", "ld", "cd", "lcd"], 60)
-    assert set(fresh.table) == {parse_group(spec) for spec in
-                                ("SU(2)", "SU(3)", "SU(2)^2", "SU(2) x SU(3)")}
+    with monkeypatch.context() as m:
+        m.setattr(suites, "_superadditive", lambda h: True)
+        run_suites(sweeps, 60)
+    assert set(fresh.table) == fall_back
+    # the one deliberate addition: lcd's superadditivity check reads the
+    # refined cd of each mixed part of dim <= 40, so the oracle also fills
+    # the closure of the curated ones, and nothing more
+    closure = Oracle()
+    monkeypatch.setattr("liechain.oracle._default", closure)
+    for h, _ in iter_semisimple(40):
+        if len(h.counts) > 1 and is_curated(h):
+            oracle_depth(h)
+    fresh = Oracle()
+    monkeypatch.setattr("liechain.oracle._default", fresh)
+    run_suites(sweeps, 60)
+    assert set(fresh.table) == fall_back | set(closure.table)
 
 
 def test_vector_fill_matches_full_type_recursion_on_curated_powers():

@@ -4,6 +4,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -158,7 +159,7 @@ def _reference_superadditivity(max_dim):
             continue
         block_sum = sum(chain_difference(GroupType(0, ((s, k),))).exact_value
                         for s, k in g.counts)
-        if chain_difference(g).lower < block_sum:
+        if chain_difference(g, refine=True).lower < block_sum:
             bad.append(str(g))
     return Check("chain difference at least the sum over homogeneous blocks",
                  {"mismatches": bad[:8]}, f"mismatches = {len(bad)}", "expected 0", not bad)
@@ -230,8 +231,7 @@ def test_enumeration_suites_share_one_walk(monkeypatch, fresh_pass):
     su2_su3 = GroupType(0, ((SimpleType("SU", 2), 1), (SimpleType("SU", 3), 1)))
     for max_dim, scanned, before in ((60, 17472, 10104), (100, 414262, 270503)):
         got, undecided = suites._decided(max_dim)
-        kept = {name: [(n, p.h, p.zs) for n, p in left]
-                for name, left in undecided.items() if left}
+        kept = {name: left for name, left in undecided.items() if left}
         assert got == scanned
         assert kept == {"cd": [(before, su2_su3, range(max_dim - 10))]}, max_dim
     assert walks == [60, 100]
@@ -279,6 +279,29 @@ def test_failing_representative_falls_back_to_every_torus_rank(monkeypatch, fres
 # the verdicts read the helpers and predicates through ``suites``, as the pass
 # does, so a patch reaches both
 
+class Part(NamedTuple):
+    """One semisimple part H of the enumeration, in integers: a row of
+    ``suites._fold`` with its depth as an interval."""
+
+    h: GroupType
+    zs: range              # the torus ranks z with H x T^z in range
+    dim: int               # D = dim H
+    length: int            # L = l(H)
+    depth: BoundsOrExact   # depth(H), up to merging_depth(H) when mixed
+    rank: int              # rank H
+    factors: int           # n, the simple factors of H counted with multiplicity
+
+
+def _parts(max_dim):
+    for h, zs, dim, l, lower, upper, rank, n in suites._fold(max_dim):
+        yield Part(h, zs, dim, l, BoundsOrExact(lower, upper), rank, n)
+
+
+def _rank_bounds_hold(p, z):
+    t, r = p.factors, p.rank
+    return 2 * r <= p.length <= 3 * r - t if t else p.length == 0
+
+
 def _dimlen_holds(p, z):
     return all(suites.dimlen_verdicts(z, p.h.counts, p.length, p.dim))
 
@@ -300,30 +323,27 @@ def _cd_holds(p, z):
 
 
 def _superadditive_holds(p, z):
-    return suites._superadditive(p.h.counts, chain_difference(p.h).lower)
+    return suites._superadditive(p.h)
 
 
-# the verdict of each enumeration sweep, by the name the pass files it under;
-# superadditivity is checked up to dim 40 only
-_VERDICTS = (("general", suites._rank_bounds_hold), ("dimlen", _dimlen_holds),
+# the verdict of each enumeration sweep, by the name the pass files it under
+_VERDICTS = (("general", _rank_bounds_hold), ("dimlen", _dimlen_holds),
              ("sqrt", _sqrt_holds), ("ld", _ld_holds), ("cd", _cd_holds),
              ("lcd", _lcd_holds))
-_SMALL_VERDICTS = _VERDICTS + (("superadditive", _superadditive_holds),)
 
 
 def _reference_decided(max_dim):
     # each verdict decided on its own at each representative of each part:
     # z = 0 and 1, or the first torus rank
-    small = min(max_dim, 40)
-    undecided = {name: [] for name, _ in _SMALL_VERDICTS}
+    undecided = {name: [] for name, _ in _VERDICTS}
     scanned = 0
-    for p in suites._parts(max_dim):
+    for p in _parts(max_dim):
         zs = p.zs
         representatives = zs[:2] if zs[0] == 0 else zs[:1]
-        for name, holds in _VERDICTS if p.dim > small else _SMALL_VERDICTS:
+        for name, holds in _VERDICTS:
             for z in representatives:
                 if not holds(p, z):
-                    undecided[name].append((scanned, p))
+                    undecided[name].append((scanned, p.h, zs))
                     break
         scanned += len(zs)
     return scanned, undecided
@@ -332,7 +352,7 @@ def _reference_decided(max_dim):
 @pytest.mark.parametrize("max_dim", [12, 40, 60, 100])
 def test_pass_decides_as_one_verdict_per_representative(max_dim):
     # the count of groups, and per verdict the parts left undecided, with
-    # the count of groups before each, its torus ranks and its record
+    # the count of groups before each and its torus ranks
     assert suites._decided(max_dim) == _reference_decided(max_dim)
 
 
@@ -366,9 +386,6 @@ def test_pass_files_failing_verdicts_as_the_reference_does(monkeypatch, fresh_pa
         predicate = getattr(suites, name)
         monkeypatch.setattr(suites, name, lambda g, predicate=predicate:
                             predicate(g) != (g.dim % 2 == 0))
-    superadditive = suites._superadditive
-    monkeypatch.setattr(suites, "_superadditive", lambda counts, cd_lower:
-                        superadditive(counts, cd_lower) and cd_lower % 2 == 0)
     got = suites._decided(40)
     assert got == _reference_decided(40)
     assert all(got[1].values())
@@ -404,7 +421,7 @@ def _superadditive(g):
         return True
     block_sum = sum(chain_difference(GroupType(0, ((s, k),))).exact_value
                     for s, k in g.counts)
-    return chain_difference(g).lower >= block_sum
+    return chain_difference(g, refine=True).lower >= block_sum
 
 
 def _passes(checker):
@@ -412,7 +429,7 @@ def _passes(checker):
 
 
 @pytest.mark.parametrize("holds,reference", [
-    (suites._rank_bounds_hold, _within_rank_bounds),
+    (_rank_bounds_hold, _within_rank_bounds),
     (_dimlen_holds, _passes(check_dimlen)),
     (_sqrt_holds, _passes(check_sqrt_lower_bound)),
     (_ld_holds, lambda g: computed_length_eq_depth(g) == is_length_eq_depth(g)),
@@ -424,7 +441,7 @@ def test_part_verdicts_agree_with_the_per_group_checks(holds, reference):
     # the integer decision at every torus rank of every part, not only at
     # the representatives, against the group-level check it stands for
     seen = []
-    for p in suites._parts(30):
+    for p in _parts(30):
         for z in p.zs:
             g = p.h.with_torus(z)
             seen.append(g)
@@ -436,7 +453,7 @@ def test_part_verdicts_agree_with_the_per_group_checks(holds, reference):
 def test_part_records_are_the_closed_forms(max_dim):
     # each record, folded from its parent's, is what the closed forms give
     # for its part on its own; a mixed depth ends at the merging chain
-    parts = list(suites._parts(max_dim))
+    parts = list(_parts(max_dim))
     assert [(p.h, p.zs) for p in parts] == list(iter_semisimple(max_dim))
     for p in parts:
         h = p.h
@@ -450,7 +467,7 @@ def test_lcd_passes_at_dim_100():
     # the closed-form upper end alone fails the 2,169 groups H x T^z of these
     # 218 parts, none of them a counterexample; the part records and
     # check_lcd both bound a mixed depth by the merging chain and pass them
-    loose = [p for p in suites._parts(100) if len(p.h.counts) > 1 and not is_curated(p.h)
+    loose = [p for p in _parts(100) if len(p.h.counts) > 1 and not is_curated(p.h)
              and not all(lcd_verdicts(0, p.h.counts, p.length, p.dim,
                                       p.length - depth(p.h).upper))]
     assert (len(loose), sum(len(p.zs) for p in loose)) == (218, 2169)
@@ -461,6 +478,51 @@ def test_lcd_passes_at_dim_100():
     checks = suites.suite_lcd(100)
     assert checks[0].inputs["groups_scanned"] == 414262
     assert all(c.passed for c in checks), [c.inputs for c in checks if not c.passed]
+
+
+def test_superadditivity_lists_each_group_of_a_failing_part(monkeypatch):
+    # the refined cd of SU(2) x SU(6) bent one below its block sum, every
+    # unrefined cd and every other group left as they are: the check fails
+    # on each group of that part of dim <= 40, in the order of iter_groups(40)
+    target = GroupType(0, ((SimpleType("SU", 2), 1), (SimpleType("SU", 6), 1)))
+    block_sum = sum(suites._block_cd(s, k) for s, k in target.counts)
+    real = suites.chain_difference
+
+    def bent(g, refine=False):
+        if refine and g.semisimple_part == target:
+            return BoundsOrExact.exact(block_sum - 1)
+        return real(g, refine)
+
+    monkeypatch.setattr(suites, "chain_difference", bent)
+    check = suites.suite_lcd(60)[2]
+    want = [str(g) for g in iter_groups(40) if g.semisimple_part == target]
+    assert want == ["SU(2) x SU(6)", "SU(2) x SU(6) x T", "SU(2) x SU(6) x T^2"]
+    assert check.claim == "chain difference at least the sum over homogeneous blocks"
+    assert not check.passed
+    assert check.inputs["mismatches"] == want and check.lhs == "mismatches = 3"
+
+
+def test_general_reports_the_first_part_past_the_rank_bounds(monkeypatch, fresh_pass):
+    # two parts' records bent past the upper rank bound: the sweep reports
+    # the first group of the first of them in the enumeration, and counts
+    # the groups up to and including it
+    bent_parts = {GroupType(0, ((SimpleType("SU", 2), 1), (SimpleType("SU", 3), 1))),
+                  GroupType(0, ((SimpleType("Sp", 4), 1),))}
+    fold = suites._fold
+
+    def bent(max_dim):
+        for h, zs, dim, l, lower, upper, rank, n in fold(max_dim):
+            if h in bent_parts:
+                l = 3 * rank - n + 1
+            yield h, zs, dim, l, lower, upper, rank, n
+
+    monkeypatch.setattr(suites, "_fold", bent)
+    (check,) = suites.suite_general(60)
+    groups = list(iter_groups(60))
+    first = min(groups.index(h) for h in bent_parts)
+    assert not check.passed
+    assert check.inputs == {"max_dim": 60, "groups_scanned": first + 1,
+                            "first_failure": str(groups[first])}
 
 
 def test_block_cd_is_the_homogeneous_chain_difference():
@@ -488,7 +550,7 @@ def test_exact_depth_decisions_match_an_independent_rule():
     # at z = 0, 1, whose depth only an interval gives (it never holds l or
     # l - 1 there: their chain difference is at least 7)
     groups = list(iter_groups(30)) + [
-        p.h.with_torus(z) for p in suites._parts(60)
+        p.h.with_torus(z) for p in _parts(60)
         if len(p.h.counts) > 1 and not is_curated(p.h) for z in p.zs[:2]]
     bounded = 0
     for g in groups:
