@@ -10,21 +10,14 @@ from .errors import (
 )
 from .formulas import (
     BoundsOrExact,
-    Check,
     chain_difference,
-    check_dimlen,
-    check_lcd,
-    check_sqrt_lower_bound,
     depth,
     depth_simple,
-    elem_inequalities,
     f_classical,
     is_cd_one,
     is_length_eq_depth,
-    lendim_formula,
     length,
     length_complex_semisimple,
-    smalll_deficit,
 )
 from .groups import (
     TRIVIAL,
@@ -53,10 +46,13 @@ from .subgroups import (
 
 __version__ = "1.0.0"
 
-# names whose modules load on first access (PEP 562): only the theorem checks
-# use the radical arithmetic and the suites, so a query compiles neither
-_LAZY = {"ALPHA": "radicals", "BETA": "radicals", "QuadExpr": "radicals",
-         "cross_validate": "suites", "radicals": "radicals", "suites": "suites"}
+# names whose modules load on first access (PEP 562): the suites hold the
+# theorem checks, the only code that uses the radical arithmetic, so a query
+# compiles neither
+_LAZY = {"ALPHA": "radicals", "BETA": "radicals", "QuadExpr": "radicals", "radicals": "radicals",
+         **dict.fromkeys(("Check", "check_dimlen", "check_lcd", "check_sqrt_lower_bound",
+                          "cross_validate", "elem_inequalities", "lendim_formula",
+                          "smalll_deficit", "suites"), "suites")}
 
 
 def __getattr__(name):

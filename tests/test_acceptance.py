@@ -24,7 +24,6 @@ from liechain.formulas import (
     length,
     length_complex_semisimple,
     length_simple,
-    smalll_deficit,
 )
 from liechain.groups import (
     GroupType,
@@ -39,6 +38,7 @@ from liechain.groups import (
 from liechain.oracle import oracle_depth, oracle_length
 from liechain.radicals import ALPHA, BETA, BETA_INV, QuadExpr
 from liechain.subgroups import CURATED_SIMPLE, is_curated, min_irrep_dim
+from liechain.suites import smalll_deficit
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

@@ -5,38 +5,40 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liechain import formulas
+from liechain import suites
 from liechain.errors import MalformedTypeError
 from liechain.formulas import (
     BoundsOrExact,
-    _quad_cd_bound,
-    _quad_cd_limit,
-    _sqrt_bound,
-    _sqrt_threshold,
     chain_difference,
-    check_dimlen,
-    check_lcd,
-    check_sqrt_lower_bound,
     complex_depth_simple,
     depth,
     depth_simple,
-    elem_inequalities,
     f_classical,
     is_cd_one,
     is_length_eq_depth,
-    lendim_formula,
     length,
     length_complex_semisimple,
     length_simple,
     merging_depth,
     min_step_simple,
-    smalll_deficit,
 )
 from liechain.groups import SimpleType, iter_semisimple, iter_simple_types, parse_group, simple
 from liechain.oracle import oracle_depth
 from liechain.radicals import ALPHA, BETA, BETA_INV, QuadExpr
 from liechain.subgroups import YES, is_curated, is_maximal_step
-from liechain.suites import is_published_cd_one
+from liechain.suites import (
+    _quad_cd_bound,
+    _quad_cd_limit,
+    _sqrt_bound,
+    _sqrt_threshold,
+    check_dimlen,
+    check_lcd,
+    check_sqrt_lower_bound,
+    elem_inequalities,
+    is_published_cd_one,
+    lendim_formula,
+    smalll_deficit,
+)
 
 
 def test_bounds_or_exact():
@@ -240,7 +242,7 @@ def test_elem_inequalities_match_quadexpr_on_the_suite_grid(monkeypatch):
 def test_elem_inequalities_fall_back_where_the_brackets_overlap(monkeypatch):
     # unscaled brackets are too coarse to separate the sides of (iii), so the
     # QuadExpr comparison decides, with the same verdicts
-    monkeypatch.setattr(formulas, "_BRACKET_BITS", 0)
+    monkeypatch.setattr(suites, "_BRACKET_BITS", 0)
     signs = _counted_signs(monkeypatch)
     for x in _ELEM_GRID[5:]:
         for y in _ELEM_GRID[5:]:
@@ -334,7 +336,7 @@ def test_smalll_deficit():
 def smalll_deficit_negative(ns):
     """Whether ``smalll_deficit(ns)`` is negative, decided in integers from
     the tuple's sums, as ``suite_smalll`` decides it."""
-    return formulas.smalll_sums_negative(*formulas._smalll_sums(ns))
+    return suites.smalll_sums_negative(*suites._smalll_sums(ns))
 
 
 def test_smalll_integer_sign_matches_exact_deficit():

@@ -45,7 +45,6 @@ def _below(graph: dict[str, set[str]], module: str) -> set[str]:
 def test_scan_sees_function_level_imports():
     graph = _graph()
     assert "suites" in graph["cli"]  # imported inside _cmd_check_theorems
-    assert "radicals" in graph["formulas"]  # imported inside _bind_radicals
     assert graph["oracle"] == {"errors", "groups", "subgroups"}
 
 
@@ -59,6 +58,13 @@ def test_lower_layers_import_no_upper_layer():
     graph = _graph()
     for module in ("groups", "subgroups", "oracle"):
         assert not _below(graph, module) & {"formulas", "chains", "suites", "cli"}, module
+
+
+def test_only_the_suites_reach_the_radicals():
+    # the query layers compile no radical arithmetic, at any import level
+    graph = _graph()
+    for module in ("groups", "subgroups", "oracle", "formulas", "chains"):
+        assert not _below(graph, module) & {"radicals", "suites"}, module
 
 
 # definitions no module of the package reads, each read by a test that keeps

@@ -310,17 +310,16 @@ _EXPORTS = {
     "chains": "Chain VerifyReport max_chain min_chain parse_chain_text verify_chain",
     "errors": "IncompleteDatabaseError LieChainError MalformedTypeError ParseError "
               "TrivialGroupError",
-    "formulas": "BoundsOrExact Check chain_difference check_dimlen check_lcd "
-                "check_sqrt_lower_bound depth depth_simple elem_inequalities f_classical "
-                "is_cd_one is_length_eq_depth lendim_formula length "
-                "length_complex_semisimple smalll_deficit",
+    "formulas": "BoundsOrExact chain_difference depth depth_simple f_classical is_cd_one "
+                "is_length_eq_depth length length_complex_semisimple",
     "groups": "TRIVIAL GroupType SimpleType canonicalize iter_groups iter_semisimple "
               "iter_simple_types parse_group product simple torus",
     "oracle": "Oracle oracle_depth oracle_length",
     "radicals": "ALPHA BETA QuadExpr",
     "subgroups": "CURATED_SIMPLE CompletenessFlag EmbeddingKind MaximalEntry is_curated "
                  "is_maximal_step maximal_connected min_irrep_dim",
-    "suites": "cross_validate",
+    "suites": "Check check_dimlen check_lcd check_sqrt_lower_bound cross_validate "
+              "elem_inequalities lendim_formula smalll_deficit",
 }
 
 

@@ -4,9 +4,10 @@ from math import ceil, floor, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liechain.formulas import length, smalll_deficit
+from liechain.formulas import length
 from liechain.groups import parse_group
 from liechain.radicals import ALPHA, BETA, BETA_INV, QuadExpr
+from liechain.suites import smalll_deficit
 
 
 def sqrt_lower_bound(g):

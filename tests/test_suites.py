@@ -13,14 +13,9 @@ from liechain.chains import min_chain
 from liechain.cli import main
 from liechain.formulas import (
     BoundsOrExact,
-    Check,
     chain_difference,
-    check_dimlen,
-    check_lcd,
-    check_sqrt_lower_bound,
     depth,
     is_length_eq_depth,
-    lcd_verdicts,
     length,
     merging_depth,
 )
@@ -31,9 +26,14 @@ from liechain.subgroups import is_curated
 from liechain.suites import (
     DEFAULT_MAX_DIM,
     SUITES,
+    Check,
+    check_dimlen,
+    check_lcd,
+    check_sqrt_lower_bound,
     computed_cd_is_one,
     computed_length_eq_depth,
     is_published_cd_one,
+    lcd_verdicts,
     run_suites,
 )
 
@@ -585,8 +585,8 @@ def test_passing_radical_sweeps_decide_in_integers(monkeypatch):
     # by one; the sqrt and lcd sweeps ask QuadExpr for at most one sign per
     # distinct threshold input, not one per (length, dimension) pair
     sums = []
-    validate = formulas._smalll_sums
-    monkeypatch.setattr(formulas, "_smalll_sums", lambda ns: sums.append(ns) or validate(ns))
+    validate = suites._smalll_sums
+    monkeypatch.setattr(suites, "_smalll_sums", lambda ns: sums.append(ns) or validate(ns))
     (check,) = suites.suite_smalll(60)
     assert check.passed and check.inputs["tuples_checked"] == 12145
     assert check.inputs["negatives"] == [[7, 7]] and sums == []
@@ -594,8 +594,8 @@ def test_passing_radical_sweeps_decide_in_integers(monkeypatch):
     signs = []
     sign = QuadExpr.sign
     monkeypatch.setattr(QuadExpr, "sign", lambda x: signs.append(x) or sign(x))
-    for suite, threshold in ((suites.suite_sqrt, formulas._sqrt_threshold),
-                             (suites.suite_lcd, formulas._quad_cd_limit)):
+    for suite, threshold in ((suites.suite_sqrt, suites._sqrt_threshold),
+                             (suites.suite_lcd, suites._quad_cd_limit)):
         suites._decided.cache_clear()  # the pass keeps decisions, not thresholds
         threshold.cache_clear()
         signs.clear()

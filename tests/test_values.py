@@ -12,12 +12,13 @@ import pytest
 
 from liechain.chains import Chain, VerifyReport
 from liechain.errors import MalformedTypeError
-from liechain.formulas import BoundsOrExact, Check
+from liechain.formulas import BoundsOrExact
 from liechain import groups
 from liechain.groups import GroupType, SimpleType, canonicalize, iter_simple_types, parse_group
 from liechain.oracle import Oracle
 from liechain.radicals import QuadExpr
 from liechain.subgroups import TORUS_DROP, CompletenessFlag, EmbeddingKind, MaximalEntry
+from liechain.suites import Check
 
 SU3 = SimpleType("SU", 3)
 T2, T, ONE = parse_group("T^2"), parse_group("T"), parse_group("1")
