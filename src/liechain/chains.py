@@ -4,12 +4,13 @@ arbitrary user-supplied chains against the subgroup database."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import pairwise
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import Frozen, MalformedTypeError
 from .formulas import depth, max_step_simple, min_step_simple
-from .groups import GroupType, parse_group
+from .groups import GroupType, SimpleType, _canonical, _merged, parse_group
 from .oracle import oracle_depth
 from .subgroups import (
     NO,
@@ -79,22 +80,46 @@ def _descend(g: GroupType, pick: Callable[[GroupType], Step]) -> Chain:
     return Chain(tuple(nodes), tuple(steps))
 
 
-def _factor_step(g: GroupType, step: GroupType) -> Step:
+# the (step, kind) of each simple type's longest and of its shortest table
+# step, by type: read on a chain's first step of that type
+_LONGEST_STEPS: dict[SimpleType, Step] = {}
+_SHORTEST_STEPS: dict[SimpleType, Step] = {}
+
+
+@lru_cache(maxsize=None)
+def _first_factor(kind: EmbeddingKind) -> EmbeddingKind:
+    """The kind of a product's step that steps its first factor by
+    ``kind``, built once per kind."""
+    return EmbeddingKind.factor(0, kind)
+
+
+def _factor_step(g: GroupType, table: Callable[[SimpleType], GroupType],
+                 read: dict[SimpleType, Step]) -> Step:
     """The step of ``g`` that replaces one copy of its first factor S by
-    ``step``, a step of S, with its kind from the step sequence of S."""
-    s = g.counts[0][0]
-    kind = simple_step_kind(s, step)
-    assert kind is not None, f"constructed step {s} > {step} not in database"
+    the step ``table`` gives S: the other pairs of ``g`` merged with the
+    pairs of that step.  ``read`` keeps that step of S and its kind from
+    the step sequence of S, so each is read once per type."""
+    counts = g.counts
+    s, k = counts[0]
+    entry = read.get(s)
+    if entry is None:
+        step = table(s)
+        kind = simple_step_kind(s, step)
+        assert kind is not None, f"constructed step {s} > {step} not in database"
+        entry = read[s] = step, kind
     if g.is_simple:
-        return step, kind
-    return g.replace_one(s, step), EmbeddingKind.factor(0, kind)
+        return entry
+    step, kind = entry
+    rest = counts[1:] if k == 1 else ((s, k - 1), *counts[1:])
+    return (_canonical(g.torus_rank + step.torus_rank, _merged(step.counts, rest)),
+            _first_factor(kind))
 
 
 def _max_pick(g: GroupType) -> Step:
     """Any torus drops first, then the first factor takes its longest step."""
     if g.torus_rank > 0:
         return g.with_torus(-1), TORUS_DROP
-    return _factor_step(g, max_step_simple(g.counts[0][0]))
+    return _factor_step(g, max_step_simple, _LONGEST_STEPS)
 
 
 def _min_pick(g: GroupType) -> Step:
@@ -105,7 +130,7 @@ def _min_pick(g: GroupType) -> Step:
     s, k = g.counts[0]
     if k > 1:
         return g.drop_one(s), EmbeddingKind.diagonal(s)
-    return _factor_step(g, min_step_simple(s))
+    return _factor_step(g, min_step_simple, _SHORTEST_STEPS)
 
 
 def _curated_pick(g: GroupType) -> Step:

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liechain import chains
 from liechain.chains import Chain, max_chain, min_chain, parse_chain_text, verify_chain
 from liechain.errors import MalformedTypeError
 from liechain.formulas import (
@@ -21,7 +23,14 @@ from liechain.groups import (
     parse_group,
     simple,
 )
-from liechain.subgroups import maximal_connected, maximal_steps
+from liechain.subgroups import (
+    TORUS_DROP,
+    EmbeddingKind,
+    maximal_connected,
+    maximal_steps,
+    simple_step_kind,
+)
+from test_subgroups import _LONG_CHAINS, _clear_table_steps
 
 
 def _specs(chain):
@@ -123,6 +132,90 @@ def test_chain_output_matches_pinned_digest():
         digest.update((json.dumps(shortest_json) + "\n").encode())
     assert len(groups) == 867
     assert digest.hexdigest() == CHAINS_DIGEST
+
+
+# the per-node reference: each node reads its first factor's table step and
+# that step's kind afresh, and builds its child by replace_one
+
+
+def _reference_factor_step(g, table):
+    s = g.counts[0][0]
+    step = table(s)
+    kind = simple_step_kind(s, step)
+    assert kind is not None, (s, step)
+    if g.is_simple:
+        return step, kind
+    return g.replace_one(s, step), EmbeddingKind.factor(0, kind)
+
+
+def _reference_max_pick(g):
+    if g.torus_rank > 0:
+        return g.with_torus(-1), TORUS_DROP
+    return _reference_factor_step(g, max_step_simple)
+
+
+def _reference_min_pick(g):
+    if not g.counts:
+        return g.with_torus(-1), TORUS_DROP
+    s, k = g.counts[0]
+    if k > 1:
+        return g.drop_one(s), EmbeddingKind.diagonal(s)
+    return _reference_factor_step(g, min_step_simple)
+
+
+def _reference_chain(g, pick):
+    nodes, steps = [g], []
+    while not g.is_trivial:
+        g, kind = pick(g)
+        nodes.append(g)
+        steps.append(kind)
+    return tuple(nodes), tuple(steps)
+
+
+def _reference_min_chain(g):
+    # a mixed product descends by the oracle's entries, which the reference shares
+    if not depth(g, refine=True).is_exact:
+        return None
+    return _reference_chain(g, _reference_min_pick if len(g.counts) <= 1 else chains._curated_pick)
+
+
+def _random_products(count, seed=0):
+    types = list(iter_simple_types(max_degree=60))
+    rng = random.Random(seed)
+    for _ in range(count):
+        factors = rng.sample(types, rng.randint(1, 3))
+        yield GroupType(rng.randint(0, 3), tuple((s, rng.randint(1, 3)) for s in factors))
+
+
+def test_chains_match_the_per_node_reference():
+    groups = list(iter_groups(30))
+    groups += [GroupType(z, ((s, k),)) for s in iter_simple_types(max_degree=60)
+               for k in (1, 2, 3) for z in (0, 1, 2)]
+    groups += [parse_group(spec) for spec in _LONG_CHAINS]
+    groups += list(_random_products(150))
+    for g in groups:
+        chain = max_chain(g)
+        assert (chain.nodes, chain.steps) == _reference_chain(g, _reference_max_pick), g
+        shortest = min_chain(g)
+        got = None if shortest is None else (shortest.nodes, shortest.steps)
+        assert got == _reference_min_chain(g), g
+
+
+def test_each_simple_type_reads_its_table_step_once(monkeypatch):
+    read = []
+
+    def counted(s, step):
+        read.append(s)
+        return simple_step_kind(s, step)
+
+    monkeypatch.setattr(chains, "simple_step_kind", counted)
+    _clear_table_steps()
+    chain = max_chain(parse_group("Sp(22)^2 x Sp(38)^2 x T x Sp(24)^3"))
+    stepped = {parent.counts[0][0] for parent, kind in zip(chain.nodes, chain.steps)
+               if kind != TORUS_DROP}
+    assert len(chain) == 282
+    assert sorted(map(str, read)) == sorted(map(str, stepped))
+    _clear_table_steps()
 
 
 def test_simple_steps_are_database_entries():

@@ -297,6 +297,11 @@ def test_threads_reading_one_step_sequence_see_one_order():
     assert results == [expected] * len(threads)
 
 
+def _clear_table_steps():
+    chains._LONGEST_STEPS.clear()
+    chains._SHORTEST_STEPS.clear()
+
+
 _LONG_CHAINS = ("SU(2000)", "Sp(2000)", "SO(2000)", "SU(300) x SU(301)", "E8 x SO(500)",
                 "SU(3)^2000", "SU(2)^3000 x T^5")
 
@@ -312,6 +317,7 @@ def test_long_chains_generate_steps_linearly(monkeypatch):
 
     monkeypatch.setattr(subgroups, "_candidates", counted)
     _step_sequence.cache_clear()
+    _clear_table_steps()
     before = maximal_connected.cache_info().currsize
     nodes = 0
     for spec in _LONG_CHAINS:
@@ -322,6 +328,7 @@ def test_long_chains_generate_steps_linearly(monkeypatch):
     # a step sequence generates up to the step a chain takes, never a table
     assert len(generated) <= nodes, (len(generated), nodes)
     _step_sequence.cache_clear()
+    _clear_table_steps()
 
 
 def _chain_steps(groups):
@@ -410,6 +417,9 @@ def test_chains_and_step_checks_search_no_steps(monkeypatch):
 
     monkeypatch.setattr(chains, "maximal_steps", refuse, raising=False)
     monkeypatch.setattr(subgroups, "maximal_steps", refuse)
+    # the chains then read the step sequences of their types afresh
+    _step_sequence.cache_clear()
+    _clear_table_steps()
     for spec in ("SU(300) x Sp(40)^2 x T^3", "E8^3 x SO(20)"):
         g = parse_group(spec)
         chain = max_chain(g)
@@ -436,6 +446,7 @@ def test_chains_and_step_checks_search_no_steps(monkeypatch):
     assert generated.count(SimpleType("SU", 3000)) <= 2
     assert SimpleType("SU", 2999) not in generated
     _step_sequence.cache_clear()
+    _clear_table_steps()
 
 
 def test_entries_decrease_dim_and_rank():
