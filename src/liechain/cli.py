@@ -14,7 +14,7 @@ import os
 import sys
 from functools import lru_cache
 
-from .chains import Chain, max_chain, min_chain, parse_chain_text, verify_chain
+from .chains import max_chain, min_chain, parse_chain_text, verify_chain
 from .errors import IncompleteDatabaseError, LieChainError
 from .formulas import chain_difference, depth, length
 from .groups import MAX_POWER_FACTORS, GroupType, parse_group, product, torus
@@ -64,8 +64,8 @@ def _cmd_dims(args) -> int:
 
 # the most the degrees of a group's distinct classical factors may sum to
 # before ``maximals`` or ``verify-chain`` generates its subgroup table: about
-# 0.4 s and 30 MB in a cold process on a 2-vCPU virtual machine (0.45 s and
-# 35 MB with --json), and five times the degree of the largest table of the
+# 0.25 s and 30 MB in a cold process on a 2-vCPU virtual machine (0.3 s and
+# 36 MB with --json), and five times the degree of the largest table of the
 # `large-inputs` benchmark workload, SU(3600)
 MAX_TABLE_DEGREES = 20_000
 
@@ -97,13 +97,6 @@ def _cmd_maximals(args) -> int:
     return 0
 
 
-def _print_chain(chain: Chain, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(chain.to_json()))
-    else:
-        print("\n".join(map(str, chain.nodes)))
-
-
 def _cmd_chain(args) -> int:
     g = parse_group(args.group)
     # a chain has one node per step; bound it as the parser bounds S^k
@@ -120,7 +113,10 @@ def _cmd_chain(args) -> int:
             return 1
     else:
         chain = max_chain(g)
-    _print_chain(chain, args.json)
+    if args.json:
+        print(json.dumps(chain.to_json()))
+    else:
+        print("\n".join(map(str, chain.nodes)))
     return 0
 
 
@@ -142,9 +138,9 @@ def _cmd_verify_chain(args) -> int:
         print(json.dumps(report.to_json()))
     else:
         names = list(map(str, nodes))
-        for i, verdict in enumerate(report.verdicts):
-            print(f"step {i}: {names[i]} > {names[i + 1]}: {verdict}")
-        print(f"overall: {report.overall}" + (f" ({report.reason})" if report.reason else ""))
+        print("".join([f"step {i}: {names[i]} > {names[i + 1]}: {verdict}\n"
+                       for i, verdict in enumerate(report.verdicts)])
+              + f"overall: {report.overall}" + (f" ({report.reason})" if report.reason else ""))
     return 0 if report.ok else 1
 
 
@@ -301,10 +297,7 @@ def main(argv=None) -> int:
     except IncompleteDatabaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except LieChainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LieChainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,10 +3,10 @@ immutable value classes."""
 
 
 class Frozen:
-    """Base of the immutable value classes: each sets its slots once, in
-    ``__init__`` through ``object.__setattr__``.  Assigning or deleting one
-    afterwards raises AttributeError.  Instances pickle and copy by their
-    slots, in order, as the arguments of ``__init__``."""
+    """Base of the immutable value classes: each sets its slots once, when
+    built, through ``object.__setattr__`` or the slot's own descriptor.
+    Assigning or deleting one afterwards raises AttributeError.  Instances
+    pickle and copy by their slots, in order, as the arguments of ``__init__``."""
 
     __slots__ = ()
 

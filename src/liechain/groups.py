@@ -45,7 +45,6 @@ def _check_classical_degree(family: str, degree: int) -> None:
 
 # family -> degree -> the one SimpleType of that family and degree
 _INTERNED: dict[str, dict[int, "SimpleType"]] = {family: {} for family in FAMILIES}
-_set = object.__setattr__
 
 
 class SimpleType(Frozen):
@@ -55,17 +54,18 @@ class SimpleType(Frozen):
     families.  Non-canonical values (SO_2..SO_6, Sp_2, SU_1, ...) are rejected
     here; use :func:`canonicalize` to resolve them.  Each type is built once
     and kept for the life of the process: equal types are the same object,
-    so they compare and hash by identity, and the values read on every sort
-    and sweep are stored.
+    so they compare and hash by identity, and the values read on every sort,
+    sweep and rendering (``name``, as ``str`` gives it) are stored.
     """
 
-    __slots__ = ("family", "degree", "dim", "rank", "sort_key", "is_classical")
+    __slots__ = ("family", "degree", "dim", "rank", "sort_key", "is_classical", "name")
     family: str
     degree: int
     dim: int
     rank: int
     sort_key: tuple[int, int]
     is_classical: bool
+    name: str
 
     def __new__(cls, family: str, degree: int = 0):
         if family not in FAMILIES:
@@ -89,12 +89,13 @@ class SimpleType(Frozen):
             else:
                 dim, rank = degree * (degree - 1) // 2, degree // 2
         self = object.__new__(cls)
-        _set(self, "family", family)
-        _set(self, "degree", degree)
-        _set(self, "dim", dim)
-        _set(self, "rank", rank)
-        _set(self, "sort_key", (_FAMILY_ORDER[family], degree))
-        _set(self, "is_classical", family in CLASSICAL_FAMILIES)
+        _set_family(self, family)
+        _set_degree(self, degree)
+        _set_dim(self, dim)
+        _set_rank(self, rank)
+        _set_sort_key(self, (_FAMILY_ORDER[family], degree))
+        _set_is_classical(self, family in CLASSICAL_FAMILIES)
+        _set_name(self, f"{family}({degree})" if degree else family)
         # a thread that built the same type first wins, so there is one object
         return _INTERNED[family].setdefault(degree, self)
 
@@ -102,10 +103,14 @@ class SimpleType(Frozen):
         return SimpleType, (self.family, self.degree)
 
     def __str__(self) -> str:
-        return f"{self.family}({self.degree})" if self.degree else self.family
+        return self.name
 
     def __repr__(self) -> str:
-        return f"SimpleType({str(self)!r})"
+        return f"SimpleType({self.name!r})"
+
+
+def _pair_key(pair: tuple[SimpleType, int]) -> tuple[int, int]:
+    return pair[0].sort_key
 
 
 class GroupType(Frozen):
@@ -124,7 +129,7 @@ class GroupType(Frozen):
         # sort and merge neighbours (a dict would hash a SimpleType per
         # pair); a pair that needs no merge is kept, not copied
         out: list[tuple[SimpleType, int]] = []
-        for pair in sorted(counts, key=lambda p: p[0].sort_key) if len(counts) > 1 else counts:
+        for pair in sorted(counts, key=_pair_key) if len(counts) > 1 else counts:
             s, k = pair
             if k < 1:
                 raise MalformedTypeError(f"multiplicity of {s} must be positive, got {k}")
@@ -132,8 +137,8 @@ class GroupType(Frozen):
                 out[-1] = (s, out[-1][1] + k)
             else:
                 out.append(pair)
-        object.__setattr__(self, "torus_rank", torus_rank)
-        object.__setattr__(self, "counts", tuple(out))
+        _set_torus_rank(self, torus_rank)
+        _set_counts(self, tuple(out))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -179,8 +184,10 @@ class GroupType(Frozen):
     @property
     def sort_key(self) -> tuple:
         """Per-copy factor keys, then the torus rank: the order of tables."""
-        return (tuple(key for s, k in self.counts for key in (s.sort_key,) * k),
-                self.torus_rank)
+        keys = []
+        for s, k in self.counts:
+            keys += (s.sort_key,) * k
+        return tuple(keys), self.torus_rank
 
     # -- algebra -----------------------------------------------------------
 
@@ -206,7 +213,7 @@ class GroupType(Frozen):
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        parts = [str(s) if k == 1 else f"{s}^{k}" for s, k in self.counts]
+        parts = [s.name if k == 1 else f"{s.name}^{k}" for s, k in self.counts]
         if self.torus_rank:
             parts.append("T" if self.torus_rank == 1 else f"T^{self.torus_rank}")
         return " x ".join(parts) or "1"
@@ -222,8 +229,8 @@ def _canonical(torus_rank: int, counts: tuple[tuple[SimpleType, int], ...]) -> G
     if torus_rank < 0:
         raise MalformedTypeError("torus rank must be nonnegative")
     g = object.__new__(GroupType)
-    object.__setattr__(g, "torus_rank", torus_rank)
-    object.__setattr__(g, "counts", counts)
+    _set_torus_rank(g, torus_rank)
+    _set_counts(g, counts)
     return g
 
 
@@ -246,6 +253,10 @@ def _merged(a: tuple[tuple[SimpleType, int], ...],
     return (*out, *a[i:], *b[j:])
 
 
+# each slot's own setter, captured once: it writes the slot past Frozen.__setattr__
+(_set_family, _set_degree, _set_dim, _set_rank, _set_sort_key, _set_is_classical,
+ _set_name) = (getattr(SimpleType, slot).__set__ for slot in SimpleType.__slots__)
+_set_torus_rank, _set_counts = GroupType.torus_rank.__set__, GroupType.counts.__set__
 TRIVIAL = GroupType()
 
 
@@ -306,7 +317,10 @@ def canonicalize(family: str, degree: int = 0) -> GroupType:
 MAX_POWER_FACTORS = 10**6
 
 _TOKEN = re.compile(r"\s*([A-Za-z]+[0-9]*|[0-9]+|[()^])")
-_CLASSICAL_NAMES = {"su": "SU", "sp": "Sp", "so": "SO"}
+# an atom's lower-case name: the family of a classical atom, which takes a
+# degree, or the group of an atom that takes none
+_ATOMS: dict[str, str | GroupType] = {"su": "SU", "sp": "Sp", "so": "SO", "t": torus(1),
+                                      **{f.lower(): simple(f) for f in _EXCEPTIONAL_DIMS}}
 
 
 def _token_starts(text: str) -> list[int]:
@@ -362,29 +376,28 @@ def parse_group(text: str) -> GroupType:
         tok = tokens[i]
         if tok is None:
             raise _error(text, i, "unexpected end of input")
-        name, had_power = tok.lower(), False
-        if name in _CLASSICAL_NAMES:
+        atom, had_power = _ATOMS.get(tok.lower()), False
+        if atom is None:
+            raise _error(text, i, f"unknown atom {tok!r}")
+        if atom.__class__ is str:
             if tokens[i + 1] != "(":
                 raise _error(text, i + 1, f"expected '(', found {tokens[i + 1]!r}")
             degree = _integer(text, tokens, i + 2)
             if tokens[i + 3] != ")":
                 raise _error(text, i + 3, f"expected ')', found {tokens[i + 3]!r}")
             try:
-                atom = canonicalize(_CLASSICAL_NAMES[name], degree)
+                atom = canonicalize(atom, degree)
             except MalformedTypeError as exc:
                 raise _error(text, i, str(exc)) from exc
-            atom_z, atom_pairs, i = atom.torus_rank, atom.counts, i + 4
-        elif name.upper() in _EXCEPTIONAL_DIMS:
-            atom_z, atom_pairs, i = 0, canonicalize(name.upper()).counts, i + 1
-        elif name == "t":
-            atom_z, atom_pairs, i = 1, (), i + 1
-            if tokens[i] == "^":
-                atom_z, had_power = _integer(text, tokens, i + 1), True
-                if atom_z < 1:
-                    raise _error(text, i, "torus rank must be positive")
-                i += 2
+            i += 4
         else:
-            raise _error(text, i, f"unknown atom {tok!r}")
+            i += 1
+            if atom.torus_rank and tokens[i] == "^":  # T^k: the torus rank
+                rank = _integer(text, tokens, i + 1)
+                if rank < 1:
+                    raise _error(text, i, "torus rank must be positive")
+                atom, had_power, i = torus(rank), True, i + 2
+        atom_z, atom_pairs = atom.torus_rank, atom.counts
         if tokens[i] == "^":
             if had_power:
                 raise _error(text, i, "repeated '^' exponent")
@@ -414,15 +427,9 @@ def iter_simple_types(max_dim: int | None = None,
     in canonical order.  Exceptional types pass any degree bound."""
     if max_dim is None and max_degree is None:
         raise ValueError("need max_dim or max_degree")
-
-    def admit(s: SimpleType) -> bool:
-        return max_dim is None or s.dim <= max_dim
-
     for family, start, step in (("SU", 2, 1), ("Sp", 4, 2), ("SO", 7, 1)):
         n = start
-        while True:
-            if max_degree is not None and n > max_degree:
-                break
+        while max_degree is None or n <= max_degree:
             s = SimpleType(family, n)
             if max_dim is not None and s.dim > max_dim:
                 break
@@ -430,7 +437,7 @@ def iter_simple_types(max_dim: int | None = None,
             n += step
     for family in _EXCEPTIONAL_DIMS:
         s = SimpleType(family)
-        if admit(s):
+        if max_dim is None or s.dim <= max_dim:
             yield s
 
 

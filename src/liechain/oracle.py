@@ -215,13 +215,8 @@ class Oracle:
         entries, flag = maximal_connected(g)
         if not flag.complete:
             raise IncompleteDatabaseError(g)
-        best_len = 0
-        best_depth = None
-        for entry in entries:
-            sub_len, sub_depth = self._plain(entry.subgroup)
-            best_len = max(best_len, sub_len)
-            best_depth = sub_depth if best_depth is None else min(best_depth, sub_depth)
-        return (1 + best_len, 1 + best_depth)
+        below = [self._plain(entry.subgroup) for entry in entries]
+        return (1 + max([l for l, _ in below]), 1 + min([d for _, d in below]))
 
     def length(self, g: GroupType) -> int:
         return self.compute(g)[0]

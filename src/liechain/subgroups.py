@@ -86,7 +86,7 @@ class EmbeddingKind(Frozen):
     # constructors for the individual cases
     @classmethod
     def reducible(cls, k: int) -> "EmbeddingKind":
-        return cls("reducible", (("k", k),))
+        return _REDUCIBLE.get(k) or _REDUCIBLE.setdefault(k, cls("reducible", (("k", k),)))
 
     @classmethod
     def levi(cls) -> "EmbeddingKind":
@@ -124,8 +124,10 @@ class EmbeddingKind(Frozen):
         return cls("torus-drop")
 
 
-# the kind of the step H x T^z > H x T^(z-1), shared by every group with a torus
+# the kind of the step H x T^z > H x T^(z-1), shared by every group with a
+# torus; and k -> the kind of each reducible step, built on first use
 TORUS_DROP = EmbeddingKind.torus_drop()
+_REDUCIBLE: dict[int, EmbeddingKind] = {}
 
 
 class MaximalEntry(NamedTuple):

@@ -87,6 +87,25 @@ def test_verify_chain_file(tmp_path, capsys):
     assert payload["overall"] == "invalid" and payload["failed_step"] == 0
 
 
+@pytest.mark.parametrize("chain, code, expected", [
+    ("SU(3)\nT\n1\n", 1,
+     "step 0: SU(3) > T: no\n"
+     "step 1: T > 1: yes\n"
+     "overall: invalid (step 0 is not a maximal inclusion)\n"),
+    ("SU(7)\nSU(2)\nT\n1\n", 0,
+     "step 0: SU(7) > SU(2): unknown\n"
+     "step 1: SU(2) > T: yes\n"
+     "step 2: T > 1: yes\n"
+     "overall: valid-modulo-unknown\n"),
+    ("1\n", 0, "overall: valid\n"),
+])
+def test_verify_chain_text_report(tmp_path, capsys, chain, code, expected):
+    # every step line, the overall line with its reason, and one final newline
+    path = tmp_path / "chain.txt"
+    path.write_text(chain, encoding="utf-8")
+    assert run(capsys, "verify-chain", str(path)) == (code, expected, "")
+
+
 def test_verify_chain_non_utf8_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "chain.txt"
     path.write_bytes(b"\xff\n")

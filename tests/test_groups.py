@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import tracemalloc
 
@@ -539,3 +541,36 @@ def test_iter_simple_types_degree_bound():
     assert SimpleType("SO", 9) in types
     assert SimpleType("E8") in types
     assert SimpleType("SU", 10) not in types
+
+
+def _reference_simple_str(s):
+    """``SimpleType.__str__`` as it rendered before the name was stored."""
+    return f"{s.family}({s.degree})" if s.degree else s.family
+
+
+def _reference_group_str(g):
+    """``GroupType.__str__`` as it rendered before the names were stored."""
+    parts = [_reference_simple_str(s) if k == 1 else f"{_reference_simple_str(s)}^{k}"
+             for s, k in g.counts]
+    if g.torus_rank:
+        parts.append("T" if g.torus_rank == 1 else f"T^{g.torus_rank}")
+    return " x ".join(parts) or "1"
+
+
+def test_stored_names_render_as_the_reference_renderer():
+    types = list(iter_simple_types(max_degree=400))
+    assert SimpleType("E8") in types and SimpleType("SO", 400) in types
+    for s in types:
+        assert str(s) == s.name == _reference_simple_str(s), s.name
+        assert repr(s) == f"SimpleType({_reference_simple_str(s)!r})"
+    groups = [*iter_groups(30), parse_group("SU(2)^1000000"), parse_group("T"),
+              parse_group("T^5"), parse_group("1")]
+    for g in groups:
+        assert str(g) == _reference_group_str(g)
+    assert [str(g) for g in groups[-4:]] == ["SU(2)^1000000", "T", "T^5", "1"]
+
+
+def test_simple_types_pickle_and_copy_to_the_interned_type():
+    for s in [SimpleType("SU", 2), SimpleType("Sp", 400), SimpleType("SO", 7), SimpleType("E8")]:
+        for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert twin is s and twin.name == str(s)

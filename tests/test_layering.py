@@ -1,6 +1,9 @@
 """The import layering of the package, read from its source with ``ast``."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -115,3 +118,22 @@ def test_every_definition_has_a_reader():
     # each test-only reference is still defined, and still unread in the package
     defined = {name for tree in trees.values() for name in _defined(tree)}
     assert all(name in defined and name.rsplit(".", 1)[-1] not in read for name in TEST_ONLY)
+
+
+# the source lines of the modules ``import liechain, liechain.cli`` loads:
+# each cold process compiles them when no bytecode is kept, as in the
+# benchmark's workers, at about 7 us a line, so every query pays for them.
+# A change that adds lines raises this count knowingly.
+QUERY_PATH_LINES = 2029
+
+
+def test_the_query_path_stays_within_its_line_budget():
+    code = ("import sys, liechain, liechain.cli; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'liechain'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stems = [name.partition(".")[2] or "__init__" for name in proc.stdout.split()]
+    assert {"__init__", "cli", "groups"} <= set(stems) and "suites" not in stems
+    lines = sum(len((PACKAGE / f"{stem}.py").read_text().splitlines()) for stem in stems)
+    assert lines <= QUERY_PATH_LINES, (lines, sorted(stems))

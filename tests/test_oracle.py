@@ -249,12 +249,13 @@ def test_import_leaves_recursion_limit_alone():
 
 def test_import_builds_no_steps_and_no_memo():
     # the oracle reads the database's steps on its first search, not at import,
-    # and a chain reads its types' table steps on its first descent
+    # a chain reads its types' table steps on its first descent, and a table
+    # builds each shared reducible kind on its first use
     proc = _python("import liechain, liechain.cli; from liechain import chains, oracle, subgroups; "
                    "print(subgroups._step_sequence.cache_info().currsize, "
                    "len(oracle._default.table), len(chains._LONGEST_STEPS), len(chains._SHORTEST_STEPS), "
-                   "chains._first_factor.cache_info().currsize)")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 0 0 0\n", "")
+                   "chains._first_factor.cache_info().currsize, len(subgroups._REDUCIBLE))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 0 0 0 0\n", "")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

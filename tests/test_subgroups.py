@@ -274,6 +274,30 @@ def test_cold_table_sorts_no_group_and_reads_each_dim_once(monkeypatch):
     assert dim_reads == Counter([g, *(e.subgroup for e in entries)])
 
 
+def test_reducible_kinds_are_shared_and_equal_fresh_ones():
+    for k in range(1, 40):
+        shared, fresh = EmbeddingKind.reducible(k), EmbeddingKind("reducible", (("k", k),))
+        assert shared is EmbeddingKind.reducible(k)
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert (repr(shared), str(shared)) == (repr(fresh), str(fresh)) == (
+            f"EmbeddingKind(kind='reducible', params=(('k', {k}),))", f"reducible(k={k})")
+        assert shared.to_json() == fresh.to_json() == {"kind": "reducible", "params": {"k": k}}
+
+
+def test_shared_kinds_give_the_tables_of_fresh_kinds(monkeypatch):
+    # the reference tables are built with a fresh kind per reducible entry
+    fresh = classmethod(lambda cls, k: cls("reducible", (("k", k),)))
+    for n in [*range(2, 61), 1499]:
+        with monkeypatch.context() as patch:
+            patch.setattr(EmbeddingKind, "reducible", fresh)
+            reference = _reference_table(SimpleType("SU", n))
+        entries, _ = maximal_connected(simple("SU", n))
+        assert entries == reference, n
+        assert [str(e.kind) for e in entries] == [str(e.kind) for e in reference], n
+        assert all(e.kind is EmbeddingKind.reducible(dict(e.kind.params)["k"])
+                   for e in entries if e.kind.kind == "reducible"), n
+
+
 def test_threads_reading_one_step_sequence_see_one_order():
     g = parse_group("SU(720)")
     expected = _first_kinds(g.simple_factor)
