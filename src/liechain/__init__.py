@@ -41,7 +41,6 @@ from .subgroups import (
     is_curated,
     is_maximal_step,
     maximal_connected,
-    min_irrep_dim,
 )
 
 __version__ = "1.0.0"
@@ -52,7 +51,7 @@ __version__ = "1.0.0"
 _LAZY = {"ALPHA": "radicals", "BETA": "radicals", "QuadExpr": "radicals", "radicals": "radicals",
          **dict.fromkeys(("Check", "check_dimlen", "check_lcd", "check_sqrt_lower_bound",
                           "cross_validate", "elem_inequalities", "lendim_formula",
-                          "smalll_deficit", "suites"), "suites")}
+                          "min_irrep_dim", "smalll_deficit", "suites"), "suites")}
 
 
 def __getattr__(name):

@@ -8,7 +8,6 @@ documented JSON schema; all output is byte-deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -17,9 +16,9 @@ from functools import lru_cache
 from .chains import max_chain, min_chain, parse_chain_text, verify_chain
 from .errors import IncompleteDatabaseError, LieChainError
 from .formulas import chain_difference, depth, length
-from .groups import MAX_POWER_FACTORS, GroupType, parse_group, product, torus
+from .groups import MAX_POWER_FACTORS, GroupType, parse_group
 from .oracle import oracle_depth, oracle_length
-from .subgroups import CURATED_SIMPLE, maximal_connected, query_json
+from .subgroups import maximal_connected, query_json
 
 # the names of ``suites.SUITES``, sorted, and ``suites.DEFAULT_MAX_DIM``, for
 # the parser: ``suites`` and the radical arithmetic it uses load only when
@@ -64,7 +63,7 @@ def _cmd_dims(args) -> int:
 
 # the most the degrees of a group's distinct classical factors may sum to
 # before ``maximals`` or ``verify-chain`` generates its subgroup table: about
-# 0.25 s and 30 MB in a cold process on a 2-vCPU virtual machine (0.3 s and
+# 0.25 s and 30 MB in a cold process on a 2-vCPU virtual machine (0.25 s and
 # 36 MB with --json), and five times the degree of the largest table of the
 # `large-inputs` benchmark workload, SU(3600)
 MAX_TABLE_DEGREES = 20_000
@@ -191,24 +190,11 @@ def _cmd_check_theorems(args) -> int:
     return 1 if failed else 0
 
 
-def _default_oracle_scope() -> list[GroupType]:
-    base = [torus(k) for k in range(1, 6)] + [
-        GroupType(0, ((s, 1),)) for s in sorted(CURATED_SIMPLE, key=lambda s: s.sort_key)]
-    scope, seen = [], set()
-    for r in (1, 2):
-        for combo in itertools.combinations_with_replacement(base, r):
-            g = product(combo)
-            if g not in seen:
-                seen.add(g)
-                scope.append(g)
-    return scope
-
-
 def _cmd_oracle(args) -> int:
     if args.cross_validate:
-        from .suites import cross_validate
+        from .suites import cross_validate, oracle_scope
 
-        records = cross_validate(_default_oracle_scope())
+        records = cross_validate(oracle_scope())
         failed = 0
         for record in records:
             failed += not record["pass"]

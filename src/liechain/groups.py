@@ -175,7 +175,10 @@ class GroupType(Frozen):
 
     @property
     def dim(self) -> int:
-        return self.torus_rank + sum([s.dim * k for s, k in self.counts])
+        dim = self.torus_rank
+        for s, k in self.counts:
+            dim += s.dim * k
+        return dim
 
     @property
     def rank(self) -> int:

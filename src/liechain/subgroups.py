@@ -20,7 +20,8 @@ families on demand, deduplicated in generation order, and kept as far as
 generated, so a reader that stops at the step it needs generates nothing
 past it.  ``maximal_connected(g)`` is the sorted, cached table of the
 steps, read by ``maximals``, curated shortest chains and the uncached
-oracle reference.
+oracle reference; for a bare simple type it generates the rest of the step
+sequence in one call, not one step at a time.
 
 Completeness is only claimed on a curated coverage set (the types whose
 entire downward closure is certified); queries outside it still return
@@ -35,6 +36,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import Frozen, TrivialGroupError
 from .groups import (
+    _INTERNED,
     GroupType,
     SimpleType,
     _canonical,
@@ -61,8 +63,8 @@ class EmbeddingKind(Frozen):
     def __init__(self, kind: str, params: tuple[tuple[str, object], ...] = ()):
         if kind not in _KINDS:
             raise ValueError(f"unknown embedding kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
+        _set_kind(self, kind)
+        _set_params(self, params)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -73,14 +75,21 @@ class EmbeddingKind(Frozen):
         return hash((self.kind, self.params))
 
     def to_json(self) -> dict:
+        return {"kind": self.kind, "params": self.json_params()}
+
+    def json_params(self) -> dict:
+        """The params as a JSON object, a factor step's kind as its own."""
         params = dict(self.params)
         if self.kind == "factor":  # the one kind with a kind among its params
             params["via"] = params["via"].to_json()
-        return {"kind": self.kind, "params": params}
+        return params
 
     def __str__(self) -> str:
         if not self.params:
             return self.kind
+        if len(self.params) == 1:
+            (name, value), = self.params
+            return f"{self.kind}({name}={value})"
         return f"{self.kind}({', '.join([f'{k}={v}' for k, v in self.params])})"
 
     # constructors for the individual cases
@@ -124,6 +133,8 @@ class EmbeddingKind(Frozen):
         return cls("torus-drop")
 
 
+# each slot's own setter, captured once: it writes the slot past Frozen.__setattr__
+_set_kind, _set_params = EmbeddingKind.kind.__set__, EmbeddingKind.params.__set__
 # the kind of the step H x T^z > H x T^(z-1), shared by every group with a
 # torus; and k -> the kind of each reducible step, built on first use
 TORUS_DROP = EmbeddingKind.torus_drop()
@@ -135,7 +146,8 @@ class MaximalEntry(NamedTuple):
     kind: EmbeddingKind
 
     def to_json(self) -> dict:
-        return {"subgroup": str(self.subgroup), **self.kind.to_json()}
+        kind = self.kind
+        return {"subgroup": str(self.subgroup), "kind": kind.kind, "params": kind.json_params()}
 
 
 class CompletenessFlag(NamedTuple):
@@ -179,20 +191,21 @@ def _divisor_pairs(n: int) -> Iterable[tuple[int, int]]:
         d += 1
 
 
-def _reducible_su(n: int, k: int) -> GroupType:
-    """S(U_k x U_{n-k}) = SU_k x SU_{n-k} x T for 1 <= k <= n/2, built in
-    canonical order: SU_1 is trivial, so k = 1 gives SU_{n-1} x T (T for
-    n = 2), and n = 2k gives SU_k^2 x T."""
-    if k == 1:
-        return _canonical(1, ((SimpleType("SU", n - 1), 1),) if n > 2 else ())
-    if 2 * k == n:
-        return _canonical(1, ((SimpleType("SU", k), 2),))
-    return _canonical(1, ((SimpleType("SU", k), 1), (SimpleType("SU", n - k), 1)))
-
-
 def _candidates_su(n: int):
+    # S(U_k x U_{n-k}) = SU_k x SU_{n-k} x T for 1 <= k <= n/2, built in
+    # canonical order from the interned SU types and shared kinds, each read
+    # from its table once it exists: SU_1 is trivial, so k = 1 gives
+    # SU_{n-1} x T (T for n = 2), and n = 2k gives SU_k^2 x T
+    su = _INTERNED["SU"]
     for k in range(1, n // 2 + 1):
-        yield _reducible_su(n, k), EmbeddingKind.reducible(k)
+        big = (su.get(n - k) or SimpleType("SU", n - k)) if n > 2 else None
+        if k == 1:
+            pairs = ((big, 1),) if big else ()
+        elif 2 * k == n:
+            pairs = ((big, 2),)
+        else:
+            pairs = ((su.get(k) or SimpleType("SU", k), 1), (big, 1))
+        yield _canonical(1, pairs), _REDUCIBLE.get(k) or EmbeddingKind.reducible(k)
     # symplectic/orthogonal forms preserved inside SU_n
     if n >= 4 and n % 2 == 0:
         yield canonicalize("Sp", n), EmbeddingKind.classical_in_su("Sp")
@@ -259,11 +272,12 @@ def _finish(parent_dim: int, steps) -> tuple[MaximalEntry, ...]:
     keeps every factor, which every other step changes."""
 
     def order(entry: MaximalEntry) -> tuple:
-        dim = entry.subgroup.dim
-        assert dim < parent_dim, f"non-descending entry {entry.subgroup}"
-        return -dim, entry.subgroup.sort_key
+        child = entry.subgroup
+        dim = child.dim
+        assert dim < parent_dim, f"non-descending entry {child}"
+        return -dim, child.sort_key
 
-    return tuple(sorted((MaximalEntry(child, kind) for child, kind in steps), key=order))
+    return tuple(sorted(map(MaximalEntry._make, steps), key=order))
 
 
 def _candidates(s: SimpleType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
@@ -327,6 +341,17 @@ class _StepSequence:
             yield steps[i]
             i += 1
 
+    def generated(self) -> list[tuple[GroupType, EmbeddingKind]]:
+        """Every step, in generation order: the rest generated and kept in
+        one call, under one hold of the lock, where ``_extending`` takes the
+        lock once per step.  Readers iterating meanwhile see the same list."""
+        if self.rest is not None:
+            with _EXTENDING:
+                if self.rest is not None:
+                    self.steps.extend(self.rest)
+                    self.rest = None
+        return self.steps
+
 
 @lru_cache(maxsize=None)
 def _step_sequence(s: SimpleType) -> _StepSequence:
@@ -356,9 +381,11 @@ def maximal_steps(g: GroupType) -> Iterator[tuple[GroupType, EmbeddingKind]]:
 @lru_cache(maxsize=None)
 def maximal_connected(g: GroupType) -> tuple[tuple[MaximalEntry, ...], CompletenessFlag]:
     """The table of ``maximal_steps(g)``, ordered by size, with the
-    completeness flag.  The returned list is always a subset of the truth;
-    the flag tells whether it is certified exhaustive."""
-    return _finish(g.dim, maximal_steps(g)), _flag(g)
+    completeness flag; a bare simple type's steps are read in one call.  The
+    returned list is always a subset of the truth; the flag tells whether it
+    is certified exhaustive."""
+    steps = _step_sequence(g.simple_factor).generated() if g.is_simple else maximal_steps(g)
+    return _finish(g.dim, steps), _flag(g)
 
 
 def simple_step_kind(s: SimpleType, child: GroupType) -> Optional[EmbeddingKind]:
@@ -402,26 +429,6 @@ def _is_step(parent: GroupType, child: GroupType) -> bool:
     if remainder.is_trivial:  # the diagonal, when a copy of S is left
         return len(child.counts) == len(parent.counts)
     return simple_step_kind(s, remainder) is not None
-
-
-def min_irrep_dim(s: SimpleType) -> int:
-    """Smallest dimension of a faithful-target nontrivial irreducible complex
-    representation used by the length comparison tables: for classical types
-    the smallest one exceeding the natural degree and avoiding classical
-    coincidences, for exceptional types the minimal nontrivial one."""
-    if s.family == "SU":
-        if s.degree <= 4:
-            return {2: 4, 3: 6, 4: 10}[s.degree]
-        return s.degree * (s.degree - 1) // 2
-    if s.family == "Sp":
-        if s.degree == 4:
-            return 10
-        return s.degree * (s.degree - 1) // 2 - 1
-    if s.family == "SO":
-        if 7 <= s.degree <= 14 and s.degree != 8:
-            return 2 ** ((s.degree - 1) // 2)
-        return s.degree * (s.degree - 1) // 2
-    return {"G2": 7, "F4": 26, "E6": 27, "E7": 56, "E8": 248}[s.family]
 
 
 def query_json(g: GroupType) -> dict:

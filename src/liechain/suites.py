@@ -3,7 +3,9 @@
 Each suite exhaustively checks one classification or inequality over a
 bounded search space (total dimension for group enumerations, degree for
 per-family scans) and returns a list of Check records.  ``cross_validate``
-compares the closed forms with the brute force group by group.
+compares the closed forms with the brute force group by group, over
+``oracle_scope`` for ``oracle --cross-validate``; ``min_irrep_dim`` is the
+representation data of the ``tables`` suite.
 
 The per-group checks of the paper's inequalities (``check_*``) and the
 radical-valued helpers they and the suites use (``lendim_formula``,
@@ -103,10 +105,18 @@ from .formulas import (
     length_simple,
     merging_depth,
 )
-from .groups import GroupType, SimpleType, iter_semisimple, iter_simple_types, simple
+from .groups import (
+    GroupType,
+    SimpleType,
+    iter_semisimple,
+    iter_simple_types,
+    product,
+    simple,
+    torus,
+)
 from .oracle import oracle_depth, oracle_length
 from .radicals import ALPHA, BETA, BETA_ALPHA, BETA_INV, QuadExpr
-from .subgroups import CURATED_SIMPLE, min_irrep_dim
+from .subgroups import CURATED_SIMPLE
 
 DEFAULT_MAX_DIM = 60
 
@@ -854,6 +864,26 @@ def _classical_lengths(n: int) -> dict[str, int]:
     return lengths
 
 
+def min_irrep_dim(s: SimpleType) -> int:
+    """Smallest dimension of a faithful-target nontrivial irreducible complex
+    representation used by the length comparison tables: for classical types
+    the smallest one exceeding the natural degree and avoiding classical
+    coincidences, for exceptional types the minimal nontrivial one."""
+    if s.family == "SU":
+        if s.degree <= 4:
+            return {2: 4, 3: 6, 4: 10}[s.degree]
+        return s.degree * (s.degree - 1) // 2
+    if s.family == "Sp":
+        if s.degree == 4:
+            return 10
+        return s.degree * (s.degree - 1) // 2 - 1
+    if s.family == "SO":
+        if 7 <= s.degree <= 14 and s.degree != 8:
+            return 2 ** ((s.degree - 1) // 2)
+        return s.degree * (s.degree - 1) // 2
+    return {"G2": 7, "F4": 26, "E6": 27, "E7": 56, "E8": 248}[s.family]
+
+
 def suite_tables(max_dim: int) -> list[Check]:
     """Minimal-representation comparisons: classical growth, and the
     exceptional cut-off row."""
@@ -969,3 +999,18 @@ def cross_validate(scope: Iterable[GroupType]) -> list[dict]:
             "pass": brute_l == formula_l and brute_d in formula_d,
         })
     return records
+
+
+def oracle_scope() -> list[GroupType]:
+    """The groups ``oracle --cross-validate`` compares: each torus of rank at
+    most 5 and each curated simple type, alone and in pairs."""
+    base = [torus(k) for k in range(1, 6)] + [
+        GroupType(0, ((s, 1),)) for s in sorted(CURATED_SIMPLE, key=lambda s: s.sort_key)]
+    scope, seen = [], set()
+    for r in (1, 2):
+        for combo in itertools.combinations_with_replacement(base, r):
+            g = product(combo)
+            if g not in seen:
+                seen.add(g)
+                scope.append(g)
+    return scope

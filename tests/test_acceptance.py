@@ -37,8 +37,8 @@ from liechain.groups import (
 )
 from liechain.oracle import oracle_depth, oracle_length
 from liechain.radicals import ALPHA, BETA, BETA_INV, QuadExpr
-from liechain.subgroups import CURATED_SIMPLE, is_curated, min_irrep_dim
-from liechain.suites import smalll_deficit
+from liechain.subgroups import CURATED_SIMPLE, is_curated
+from liechain.suites import min_irrep_dim, smalll_deficit
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

@@ -320,9 +320,9 @@ _EXPORTS = {
     "oracle": "Oracle oracle_depth oracle_length",
     "radicals": "ALPHA BETA QuadExpr",
     "subgroups": "CURATED_SIMPLE CompletenessFlag EmbeddingKind MaximalEntry is_curated "
-                 "is_maximal_step maximal_connected min_irrep_dim",
+                 "is_maximal_step maximal_connected",
     "suites": "Check check_dimlen check_lcd check_sqrt_lower_bound cross_validate "
-              "elem_inequalities lendim_formula smalll_deficit",
+              "elem_inequalities lendim_formula min_irrep_dim smalll_deficit",
 }
 
 

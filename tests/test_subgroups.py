@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -33,13 +34,14 @@ from liechain.subgroups import (
     _candidates,
     _finish,
     _step_sequence,
+    _StepSequence,
     is_curated,
     is_maximal_step,
     maximal_connected,
     maximal_steps,
-    min_irrep_dim,
     query_json,
 )
+from liechain.suites import min_irrep_dim
 
 
 def _types(entries):
@@ -319,6 +321,91 @@ def test_threads_reading_one_step_sequence_see_one_order():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(threads)
+
+
+def _rendered(entries):
+    return [(e.subgroup, e.kind, str(e.kind), e.to_json()) for e in entries]
+
+
+def test_bulk_and_lazy_reads_give_one_table():
+    # a table generates a simple type's remaining steps in one call, while a
+    # chain reads the first few lazily (chain --max stops at its step); cold,
+    # after such a partial read and after a full lazy read, the table is the
+    # same, entry for entry and kind for kind, and a reader suspended before
+    # the bulk read goes on along the same list
+    types = [s for s in iter_simple_types(max_degree=60) if s.is_classical]
+    for s in [*types, SimpleType("SU", 1201)]:
+        g = GroupType(0, ((s, 1),))
+        steps = _first_kinds(s)
+        reference = _rendered(_finish(g.dim, steps))
+        for read in ("cold", "partial", "full"):
+            _step_sequence.cache_clear()
+            maximal_connected.cache_clear()
+            reader = maximal_steps(g)
+            head = [] if read == "cold" else list(islice(reader, 1 + s.degree % 3))
+            if read == "full":
+                head += reader
+            assert _rendered(maximal_connected(g)[0]) == reference, (s, read)
+            # every step is kept, so later readers walk the list itself
+            assert _step_sequence(s).rest is None, (s, read)
+            assert head + list(reader) == _step_sequence(s).steps == steps, (s, read)
+    _step_sequence.cache_clear()
+    maximal_connected.cache_clear()
+
+
+def test_a_cold_table_takes_the_step_lock_once(monkeypatch):
+    # the bulk read holds the lock once for the whole table, where a lazy
+    # read takes it once per generated step
+    class Counted:
+        def __init__(self):
+            self.lock, self.holds = threading.Lock(), 0
+
+        def __enter__(self):
+            self.holds += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
+
+    counted = Counted()
+    monkeypatch.setattr(subgroups, "_EXTENDING", counted)
+    _step_sequence.cache_clear()
+    maximal_connected.cache_clear()
+    entries, _ = maximal_connected(simple("SU", 1201))
+    assert (len(entries), counted.holds) == (601, 1)
+    assert list(maximal_steps(simple("SU", 1201))) == _first_kinds(SimpleType("SU", 1201))
+    assert counted.holds == 1
+    _step_sequence.cache_clear()
+    maximal_connected.cache_clear()
+
+
+def test_threads_reading_lazily_and_in_bulk_see_one_list():
+    # half the threads iterate one fresh step sequence lazily, half take its
+    # bulk read; with more threads than cores and a short switch interval,
+    # every thread ends with the same list, in generation order
+    s = SimpleType("SU", 720)
+    expected = _first_kinds(s)
+    sequence = _StepSequence(s)
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def read(i):
+        start.wait(timeout=60)
+        results[i] = list(sequence) if i % 2 else list(sequence.generated())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8
+    assert sequence.rest is None and sequence.steps == expected
 
 
 def _clear_table_steps():
